@@ -3,15 +3,16 @@
 The package trains twin feature maps whose inner products define an
 asymmetric similarity graph, optimizes a weighted kernel-SVD objective with
 node/edge reconstruction, and clusters nodes from the resulting embeddings.
-A dense dual solver (SVD biclustering) serves as the exact oracle for the
-trained model.
+An exact dual solver (SVD biclustering of the factored similarity, never
+forming an n x n matrix) serves as the oracle for the trained model.
 """
 
 from .graphio import AttributedGraph, PositionalEncoding, edge_homophily, \
     load_graph, random_walk_pe, symmetrize
-from .model import EmbeddingPair, HenclerParams, ModelDims, SimilarityFactor, \
-    decode_edge, decode_nodes, init_params, load_checkpoint, map_features, \
-    project, save_checkpoint, sigma_values, similarity_matrix
+from .model import CheckpointError, EmbeddingPair, HenclerParams, ModelDims, \
+    SimilarityFactor, decode_edge, decode_nodes, init_params, \
+    load_checkpoint, map_features, project, save_checkpoint, sigma_values, \
+    similarity_matrix
 from .loss import DegreePair, EdgeSample, compute_degrees, edge_rec_loss, \
     node_rec_loss, sample_edges, total_loss, wksvd_loss
 from .dual import DualSolution, bicluster, center_dual, center_primal, \

@@ -22,10 +22,10 @@ import numpy as np
 
 from .dual import bicluster, eigen_form_check, stationarity_residual
 from .evaluate import assign_clusters, nmi
-from .graphio import AttributedGraph, load_graph, random_walk_pe
-from .loss import EPS_DEG
-from .model import HenclerParams, ModelDims, init_params, load_checkpoint, \
-    map_features, project, save_checkpoint, similarity_matrix
+from .graphio import AttributedGraph, GraphFormatError, load_graph, \
+    random_walk_pe
+from .model import CheckpointError, HenclerParams, ModelDims, init_params, \
+    load_checkpoint, map_features, project, save_checkpoint, similarity_matrix
 from .synthetic import planted_block_similarity, random_sparse_graph
 from .trainer import RunRecord, TrainConfig, train
 
@@ -86,8 +86,12 @@ def _resolve_seed(seed: int) -> int:
 
 
 def _load_dataset(doc: dict) -> AttributedGraph:
-    return load_graph(doc["edge_path"], doc["feature_path"],
-                      doc.get("label_path"), directed=doc.get("directed", True))
+    try:
+        return load_graph(doc["edge_path"], doc["feature_path"],
+                          doc.get("label_path"),
+                          directed=doc.get("directed", True))
+    except OSError as exc:
+        raise ConfigError(f"cannot read dataset: {exc}") from exc
 
 
 def _train_config(doc: dict, g: AttributedGraph, overrides: dict) -> TrainConfig:
@@ -178,18 +182,14 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _materialized_factors(g, pe, params, max_nodes):
-    if g.num_nodes > max_nodes:
-        raise GuardExceeded(
-            f"{g.num_nodes} nodes exceeds the dense-similarity guard "
-            f"({max_nodes}); pass --max-nodes to override")
-    sf = map_features(g, pe, params)
-    return sf, similarity_matrix(sf)
+def _write_oracle(out_dir: Path, rows, cols) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_assignment(out_dir / "row_clusters.csv", rows)
+    _write_assignment(out_dir / "col_clusters.csv", cols)
 
 
 def cmd_oracle(args) -> int:
     out_dir = Path(args.output_dir or "hencler_oracle")
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = _resolve_seed(args.seed)
 
     if args.synthetic == "blocks":
@@ -200,8 +200,7 @@ def cmd_oracle(args) -> int:
         row_nmi = nmi(rows, labels)
         col_nmi = nmi(cols, labels)
         print(f"planted blocks: row NMI {row_nmi:.4f}  col NMI {col_nmi:.4f}")
-        _write_assignment(out_dir / "row_clusters.csv", rows)
-        _write_assignment(out_dir / "col_clusters.csv", cols)
+        _write_oracle(out_dir, rows, cols)
         return EXIT_OK
 
     if args.config is None:
@@ -217,14 +216,12 @@ def cmd_oracle(args) -> int:
                          hidden=config.hidden, d_f=config.d_f,
                          s=config.latent_dim)
         params = init_params(dims, seed=seed, tied=config.tie_maps)
-    sf, sim = _materialized_factors(g, pe, params, args.max_nodes)
-    rows, cols, solution = bicluster(sim, k=config.num_clusters, seed=seed,
+    sf = map_features(g, pe, params)
+    rows, cols, solution = bicluster(sf, k=config.num_clusters, seed=seed,
                                      restarts=config.kmeans_restarts)
-    d1 = np.maximum(sim.sum(axis=1), EPS_DEG)
-    d2 = np.maximum(sim.sum(axis=0), EPS_DEG)
     residuals = {
-        "stationarity": stationarity_residual(sf, solution, 1.0 / d1, 1.0 / d2),
-        "eigen_form": eigen_form_check(sim, solution),
+        "stationarity": stationarity_residual(sf, solution),
+        "eigen_form": eigen_form_check(sf, solution),
     }
     report = {"residuals": residuals}
     if g.labels is not None:
@@ -233,8 +230,7 @@ def cmd_oracle(args) -> int:
         print(f"row NMI {report['row_nmi']:.4f}  col NMI {report['col_nmi']:.4f}")
     print(f"stationarity residual {residuals['stationarity']:.3e}  "
           f"eigen-form residual {residuals['eigen_form']:.3e}")
-    _write_assignment(out_dir / "row_clusters.csv", rows)
-    _write_assignment(out_dir / "col_clusters.csv", cols)
+    _write_oracle(out_dir, rows, cols)
     (out_dir / "oracle.json").write_text(json.dumps(report, indent=1),
                                          encoding="utf-8")
     return EXIT_OK
@@ -305,10 +301,14 @@ def cmd_benchmark(args) -> int:
 def cmd_export_similarity(args) -> int:
     doc = load_config(args.config)
     g = _load_dataset(doc)
+    if g.num_nodes > args.max_nodes:
+        raise GuardExceeded(
+            f"{g.num_nodes} nodes exceeds the dense-similarity guard "
+            f"({args.max_nodes}); pass --max-nodes to override")
     config = _train_config(doc, g, {})
     pe = random_walk_pe(g, config.k_pe)
     params = load_checkpoint(args.checkpoint)
-    _, sim = _materialized_factors(g, pe, params, args.max_nodes)
+    sim = similarity_matrix(map_features(g, pe, params))
     if g.labels is not None:
         order = np.argsort(g.labels, kind="stable")
     else:
@@ -342,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_oracle = sub.add_parser("oracle",
-                              help="exact dual solve on the materialized "
+                              help="exact dual solve on the factored "
                                    "similarity")
     p_oracle.add_argument("--config")
     p_oracle.add_argument("--checkpoint", default=None)
@@ -350,7 +350,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--block-sizes", default="10,10,10")
     p_oracle.add_argument("--noise", type=float, default=0.01)
     p_oracle.add_argument("--seed", type=int, default=0)
-    p_oracle.add_argument("--max-nodes", type=int, default=DENSE_GUARD_NODES)
     p_oracle.add_argument("--output-dir", default=None)
     p_oracle.set_defaults(func=cmd_oracle)
 
@@ -378,8 +377,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigError, GraphFormatError, CheckpointError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except GuardExceeded as exc:
         print(f"guard violation: {exc}", file=sys.stderr)

@@ -1,9 +1,13 @@
-"""Exact dual-side machinery: the brute-force oracle for the trained model.
+"""Exact dual-side machinery: the oracle for the trained model.
 
-Works on a materialized similarity matrix: weighted centering, the
-degree-normalized SVD biclustering, residuals of the stationarity and
-block-eigenvalue systems, and a sampling check of the conjugate-duality
-inequality that underpins the whole construction.
+The degree-normalized SVD biclustering and the block-eigenvalue residual
+accept the learned similarity either as its factors (a `SimilarityFactor`,
+S = Phi Psi^T) or as a dense matrix. The factored form is exact and costs
+O(n d_f^2): S has rank at most d_f, so a QR of each degree-scaled factor
+reduces the SVD to a d_f x d_f core and no n x n array is formed. The dense
+form serves inputs that only exist as matrices and is the tests' reference.
+Also here: weighted centering, the stationarity residual, and a sampling
+check of the conjugate-duality inequality that underpins the construction.
 """
 
 from __future__ import annotations
@@ -62,38 +66,82 @@ def center_dual(similarity, w1, w2) -> np.ndarray:
     return m1 @ s @ m2.T
 
 
-def _degree_weights(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    row_mass = s.sum(axis=1)
-    col_mass = s.sum(axis=0)
+def _float64(similarity):
+    if isinstance(similarity, SimilarityFactor):
+        return SimilarityFactor(
+            source=np.asarray(similarity.source, dtype=np.float64),
+            target=np.asarray(similarity.target, dtype=np.float64))
+    return np.asarray(similarity, dtype=np.float64)
+
+
+def _degree_weights(s) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column masses of S, clamped at EPS_DEG with a warning.
+
+    A factored S gets them from factor column sums in O(n d_f).
+    """
+    if isinstance(s, SimilarityFactor):
+        row_mass = s.source @ s.target.sum(axis=0)
+        col_mass = s.target @ s.source.sum(axis=0)
+    else:
+        row_mass, col_mass = s.sum(axis=1), s.sum(axis=0)
     if np.any(row_mass < EPS_DEG) or np.any(col_mass < EPS_DEG):
         warnings.warn("similarity has near-zero row/column mass; "
-                      f"clamping degrees at {EPS_DEG}", stacklevel=3)
+                      f"clamping degrees at {EPS_DEG}", stacklevel=4)
     return np.maximum(row_mass, EPS_DEG), np.maximum(col_mass, EPS_DEG)
+
+
+def _scaled(s, row_scale: np.ndarray, col_scale: np.ndarray):
+    """diag(row_scale) S diag(col_scale), in the same form as S."""
+    if isinstance(s, SimilarityFactor):
+        return SimilarityFactor(source=row_scale[:, None] * s.source,
+                                target=col_scale[:, None] * s.target)
+    return row_scale[:, None] * s * col_scale[None, :]
+
+
+def _top_svd(s, rank: int):
+    """Top-`rank` singular triple of S; a factored S goes through its core.
+
+    With A = Qa Ra and B = Qb Rb, A B^T = Qa (Ra Rb^T) Qb^T, so the SVD of
+    the small core Ra Rb^T gives the exact singular values, and its vectors
+    mapped through Qa and Qb the exact singular vectors.
+    """
+    if not isinstance(s, SimilarityFactor):
+        return thin_svd(s, rank)
+    q_src, r_src = np.linalg.qr(s.source)
+    q_dst, r_dst = np.linalg.qr(s.target)
+    left, sing, right = thin_svd(r_src @ r_dst.T, rank)
+    return q_src @ left, sing, q_dst @ right
+
+
+def _normalized(s):
+    """D1^{-1/2} S D2^{-1/2} in the form of S, and the degrees d1, d2."""
+    d1, d2 = _degree_weights(s)
+    return _scaled(s, 1.0 / np.sqrt(d1), 1.0 / np.sqrt(d2)), d1, d2
 
 
 def normalized_similarity(s: np.ndarray) -> np.ndarray:
     """D1^{-1/2} S D2^{-1/2} with clamped degree masses."""
-    d1, d2 = _degree_weights(np.asarray(s, dtype=np.float64))
-    return s / np.sqrt(d1)[:, None] / np.sqrt(d2)[None, :]
+    return _normalized(np.asarray(s, dtype=np.float64))[0]
 
 
 def bicluster(similarity, k: int, seed: int = 0, restarts: int = 10,
               drop_leading: bool = False
               ) -> tuple[np.ndarray, np.ndarray, DualSolution]:
-    """Spectral biclustering of an asymmetric similarity matrix.
+    """Spectral biclustering of an asymmetric similarity.
 
-    SVD of the degree-normalized matrix gives the embeddings; kmeans on the
+    `similarity` is a `SimilarityFactor` or a dense matrix. SVD of the
+    degree-normalized similarity gives the embeddings; kmeans on the
     recovered row/column embeddings yields the two assignments. The leading
     singular pair is kept by default; `drop_leading` discards it (classical
-    spectral-clustering convention).
+    spectral-clustering convention). A factored similarity supports at most
+    d_f singular pairs; asking for more raises ValueError.
     """
-    s = np.asarray(similarity, dtype=np.float64)
+    s = _float64(similarity)
     if k < 1:
         raise ValueError("k must be >= 1")
-    d1, d2 = _degree_weights(s)
-    normalized = s / np.sqrt(d1)[:, None] / np.sqrt(d2)[None, :]
+    normalized, d1, d2 = _normalized(s)
     rank = k + 1 if drop_leading else k
-    left, sing, right = thin_svd(normalized, rank)
+    left, sing, right = _top_svd(normalized, rank)
     if drop_leading:
         left, sing, right = left[:, 1:], sing[1:], right[:, 1:]
     # e_i = sigma * h_i / sqrt(w1_i) with w1 = 1/d1, so the factor is sqrt(d1_i)
@@ -112,18 +160,26 @@ def _relative(residual: np.ndarray, reference: np.ndarray) -> float:
                  / max(np.linalg.norm(reference), _TINY))
 
 
+def _weights(s, w1, w2) -> tuple[np.ndarray, np.ndarray]:
+    """The given weights, or the inverse clamped degrees of S when unset."""
+    if w1 is None or w2 is None:
+        d1, d2 = _degree_weights(s)
+        return 1.0 / d1, 1.0 / d2
+    return np.asarray(w1, dtype=np.float64), np.asarray(w2, dtype=np.float64)
+
+
 def stationarity_residual(sf: SimilarityFactor, solution: DualSolution,
-                          w1, w2) -> float:
+                          w1=None, w2=None) -> float:
     """Max relative residual of the four stationarity conditions.
 
     The two conditions defining the projection matrices are used to
     reconstruct them from the dual vectors (and therefore hold exactly);
     the residuals of the two remaining coupling equations are returned.
+    The weights default to the inverse degrees of S = Phi Psi^T.
     """
-    phi = np.asarray(sf.source, dtype=np.float64)
-    psi = np.asarray(sf.target, dtype=np.float64)
-    w1 = np.asarray(w1, dtype=np.float64)
-    w2 = np.asarray(w2, dtype=np.float64)
+    sf = _float64(sf)
+    phi, psi = sf.source, sf.target
+    w1, w2 = _weights(sf, w1, w2)
     h_e, h_r = solution.left_vectors, solution.right_vectors
     sing = solution.singular_values
     if phi.shape[0] != h_e.shape[0] or psi.shape[0] != h_r.shape[0]:
@@ -142,19 +198,23 @@ def stationarity_residual(sf: SimilarityFactor, solution: DualSolution,
 
 def eigen_form_check(similarity, solution: DualSolution,
                      w1=None, w2=None) -> float:
-    """Relative residual of the block eigenvalue system of the weighted SVD."""
-    s = np.asarray(similarity, dtype=np.float64)
-    if w1 is None or w2 is None:
-        d1, d2 = _degree_weights(s)
-        w1, w2 = 1.0 / d1, 1.0 / d2
-    w1 = np.asarray(w1, dtype=np.float64)
-    w2 = np.asarray(w2, dtype=np.float64)
-    weighted = np.sqrt(w1)[:, None] * s * np.sqrt(w2)[None, :]
+    """Relative residual of the block eigenvalue system of the weighted SVD.
+
+    `similarity` is a `SimilarityFactor` or a dense matrix; a factored one
+    is applied as sqrt(w1) Phi (Psi^T (sqrt(w2) h)) without forming S.
+    """
+    s = _float64(similarity)
+    w1, w2 = _weights(s, w1, w2)
+    weighted = _scaled(s, np.sqrt(w1), np.sqrt(w2))
     h_e, h_r = solution.left_vectors, solution.right_vectors
     sing = solution.singular_values
-    top = _relative(weighted @ h_r - h_e * sing[None, :], h_e * sing[None, :])
-    bottom = _relative(weighted.T @ h_e - h_r * sing[None, :],
-                       h_r * sing[None, :])
+    if isinstance(weighted, SimilarityFactor):
+        a, b = weighted.source, weighted.target
+        s_h_r, s_t_h_e = a @ (b.T @ h_r), b @ (a.T @ h_e)
+    else:
+        s_h_r, s_t_h_e = weighted @ h_r, weighted.T @ h_e
+    top = _relative(s_h_r - h_e * sing[None, :], h_e * sing[None, :])
+    bottom = _relative(s_t_h_e - h_r * sing[None, :], h_r * sing[None, :])
     return max(top, bottom)
 
 

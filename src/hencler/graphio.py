@@ -113,6 +113,8 @@ def _parse_edges(path: Path, num_nodes: int) -> np.ndarray:
                     f"{path}:{lineno}: node index out of range [0, {num_nodes}) "
                     f"in edge {src}->{dst}")
             pairs.append((src, dst))
+    if not pairs:
+        raise GraphFormatError(f"{path}: no edges found")
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
@@ -147,7 +149,7 @@ def load_graph(edge_path, feature_path, label_path=None,
     features = _parse_features(Path(feature_path))
     num_nodes = features.shape[0]
     edges = _parse_edges(Path(edge_path), num_nodes)
-    if not directed and edges.shape[0]:
+    if not directed:
         edges = np.concatenate([edges, edges[:, ::-1]], axis=0)
     edges = _dedup(edges)
     labels = None

@@ -21,6 +21,7 @@ from . import gradients as ad
 from .graphio import AttributedGraph, PositionalEncoding
 
 __all__ = [
+    "CheckpointError",
     "ModelDims",
     "HenclerParams",
     "SimilarityFactor",
@@ -38,6 +39,10 @@ __all__ = [
 
 LEAKY_SLOPE = 0.01
 BN_EPS = 1e-5
+
+
+class CheckpointError(ValueError):
+    """Checkpoint file that is malformed or inconsistent with its dims."""
 
 
 @dataclass(frozen=True)
@@ -256,12 +261,33 @@ def save_checkpoint(params: HenclerParams, path) -> None:
 
 
 def load_checkpoint(path) -> HenclerParams:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a checkpoint; its parameters must match `init_params(dims, tied)`
+    by name and shape, or CheckpointError names the first that does not."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{path}: malformed JSON: {exc}") from exc
     if doc.get("version") != 1:
-        raise ValueError(f"unsupported checkpoint version: {doc.get('version')!r}")
-    dims = ModelDims(**doc["dims"])
-    arrays = {}
-    for name, entry in doc["params"].items():
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        arrays[name] = arr
-    return HenclerParams(dims=dims, tied=bool(doc["tied"]), arrays=arrays)
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version: {doc.get('version')!r}")
+    try:
+        dims = ModelDims(**doc["dims"])
+        tied = bool(doc["tied"])
+        arrays = {name: np.asarray(entry["data"], dtype=np.float64)
+                  .reshape(entry["shape"])
+                  for name, entry in doc["params"].items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") \
+            from exc
+    expected = init_params(dims, tied=tied).arrays
+    missing = sorted(set(expected) - set(arrays))
+    extra = sorted(set(arrays) - set(expected))
+    if missing or extra:
+        raise CheckpointError(f"{path}: parameters missing {missing}, "
+                              f"unexpected {extra}")
+    for name, arr in arrays.items():
+        if arr.shape != expected[name].shape:
+            raise CheckpointError(
+                f"{path}: parameter {name!r} has shape {arr.shape}, dims "
+                f"require {expected[name].shape}")
+    return HenclerParams(dims=dims, tied=tied, arrays=arrays)

@@ -107,7 +107,17 @@ def test_missing_dataset_exits_config(tmp_path):
                                   "feature_path": "/nope/features.tsv",
                                   "num_clusters": 2}))
     code = main(["train", "--config", str(config)])
-    assert code != EXIT_OK
+    assert code == EXIT_CONFIG
+
+
+def test_malformed_or_empty_edge_file_exits_2(tmp_path, dataset, capsys):
+    config = write_config(tmp_path, dataset)
+    _, edge_path, _, _ = dataset
+    for text, message in (("0 1\n", "edges.tsv:1"),
+                          ("# no edges\n", "no edges")):
+        edge_path.write_text(text)
+        assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
 
 def test_repeats_aggregate_mean_std(tmp_path, dataset):
@@ -169,10 +179,37 @@ def test_oracle_synthetic_blocks_recovers(tmp_path, capsys):
     assert "col NMI 1.0000" in out
 
 
-def test_oracle_guard_exit_3(tmp_path, dataset):
+def test_export_similarity_guard_exit_3(tmp_path, dataset):
     config = write_config(tmp_path, dataset)
-    code = main(["oracle", "--config", str(config), "--max-nodes", "10"])
+    main(["train", "--config", str(config)])
+    out_csv = tmp_path / "similarity.csv"
+    code = main(["export-similarity", "--config", str(config),
+                 "--checkpoint", str(tmp_path / "out" / "checkpoint.json"),
+                 "--max-nodes", "10", "--output", str(out_csv)])
     assert code == EXIT_GUARD
+    assert not out_csv.exists()
+
+
+def test_mismatched_checkpoint_exits_2(tmp_path, dataset, capsys):
+    config = write_config(tmp_path, dataset)
+    main(["train", "--config", str(config)])
+    doc = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+    missing = json.loads(json.dumps(doc))
+    del missing["params"]["rec.w1"]
+    reshaped = json.loads(json.dumps(doc))
+    reshaped["params"]["proj_src"]["shape"].reverse()
+    for name, bad in (("rec.w1", missing), ("proj_src", reshaped)):
+        path = tmp_path / f"bad-{name}.json"
+        path.write_text(json.dumps(bad))
+        for command in (["oracle", "--output-dir", str(tmp_path / "oracle")],
+                        ["export-similarity",
+                         "--output", str(tmp_path / "sim.csv")]):
+            code = main(command + ["--config", str(config),
+                                   "--checkpoint", str(path)])
+            assert code == EXIT_CONFIG, (name, command[0])
+            assert name in capsys.readouterr().err
+    assert not (tmp_path / "oracle").exists()
+    assert not (tmp_path / "sim.csv").exists()
 
 
 def test_benchmark_single_size(tmp_path):

@@ -16,6 +16,16 @@ def positive_factors(n, m, d, seed):
             rng.uniform(0.1, 1.1, size=(m, d)))
 
 
+def input_forms(phi, psi):
+    """The similarity phi @ psi.T as a dense matrix and as its factors."""
+    return {"dense": phi @ psi.T,
+            "factored": SimilarityFactor(source=phi, target=psi)}
+
+
+def principal_cosines(a, b):
+    return np.linalg.svd(a.T @ b, compute_uv=False)
+
+
 def test_center_primal_plain_mean():
     out = center_primal(np.array([[1.0], [3.0]]), np.ones(2))
     np.testing.assert_allclose(out, [[-1.0], [1.0]])
@@ -108,11 +118,13 @@ def test_stationarity_exact_on_full_rank_solution():
     phi, psi = positive_factors(8, 6, 4, 5)
     sf = SimilarityFactor(source=phi, target=psi)
     sim = phi @ psi.T
-    _, _, solution = bicluster(sim, k=4, seed=0)
     w1 = 1.0 / sim.sum(axis=1)
     w2 = 1.0 / sim.sum(axis=0)
-    assert stationarity_residual(sf, solution, w1, w2) < 1e-8
-    assert eigen_form_check(sim, solution) < 1e-8
+    for form, similarity in input_forms(phi, psi).items():
+        _, _, solution = bicluster(similarity, k=4, seed=0)
+        assert stationarity_residual(sf, solution, w1, w2) < 1e-8, form
+        assert stationarity_residual(sf, solution) < 1e-8, form
+        assert eigen_form_check(similarity, solution) < 1e-8, form
 
 
 def test_stationarity_detects_perturbation():
@@ -138,11 +150,12 @@ def test_rank_one_similarity_exact():
     psi = rng.uniform(0.5, 1.5, size=(4, 1))
     sf = SimilarityFactor(source=phi, target=psi)
     sim = phi @ psi.T
-    _, _, solution = bicluster(sim, k=1, seed=0)
     w1 = 1.0 / sim.sum(axis=1)
     w2 = 1.0 / sim.sum(axis=0)
-    assert stationarity_residual(sf, solution, w1, w2) < 1e-10
-    assert eigen_form_check(sim, solution) < 1e-10
+    for form, similarity in input_forms(phi, psi).items():
+        _, _, solution = bicluster(similarity, k=1, seed=0)
+        assert stationarity_residual(sf, solution, w1, w2) < 1e-10, form
+        assert eigen_form_check(similarity, solution) < 1e-10, form
 
 
 def test_eigen_form_scalar_case():
@@ -152,26 +165,62 @@ def test_eigen_form_scalar_case():
 
 
 def test_eigen_form_negative_control(rng):
-    sim = rng.uniform(0.1, 1.0, size=(8, 8))
-    _, _, solution = bicluster(sim, k=3, seed=0)
-    bogus = DualSolution(
-        left_vectors=rng.normal(size=solution.left_vectors.shape),
-        right_vectors=rng.normal(size=solution.right_vectors.shape),
-        singular_values=solution.singular_values,
-        source_embedding=solution.source_embedding,
-        target_embedding=solution.target_embedding)
-    assert eigen_form_check(sim, bogus) > 0.1
+    phi = rng.uniform(0.1, 1.0, size=(8, 5))
+    psi = rng.uniform(0.1, 1.0, size=(8, 5))
+    for form, similarity in input_forms(phi, psi).items():
+        _, _, solution = bicluster(similarity, k=3, seed=0)
+        bogus = DualSolution(
+            left_vectors=rng.normal(size=solution.left_vectors.shape),
+            right_vectors=rng.normal(size=solution.right_vectors.shape),
+            singular_values=solution.singular_values,
+            source_embedding=solution.source_embedding,
+            target_embedding=solution.target_embedding)
+        assert eigen_form_check(similarity, bogus) > 0.1, form
 
 
 def test_embedding_recovery_relation():
     # e_i = sigma * h_i / sqrt(w1_i) with w = 1/degree
     phi, psi = positive_factors(6, 5, 3, 8)
-    sim = phi @ psi.T
-    _, _, solution = bicluster(sim, k=3, seed=0)
-    d1 = sim.sum(axis=1)
-    scaled = np.sqrt(d1)[:, None] * solution.left_vectors \
-        * solution.singular_values[None, :]
-    np.testing.assert_allclose(solution.source_embedding, scaled, atol=1e-12)
+    d1 = (phi @ psi.T).sum(axis=1)
+    for similarity in input_forms(phi, psi).values():
+        _, _, solution = bicluster(similarity, k=3, seed=0)
+        scaled = np.sqrt(d1)[:, None] * solution.left_vectors \
+            * solution.singular_values[None, :]
+        np.testing.assert_allclose(solution.source_embedding, scaled,
+                                   atol=1e-12)
+
+
+@pytest.mark.parametrize("n, m, d, tied, drop_leading", [
+    (40, 30, 5, False, False),  # n > d_f
+    (30, 30, 5, False, False),  # square, as in the oracle
+    (40, 30, 5, False, True),
+    (6, 7, 12, False, False),  # n < d_f
+    (25, 25, 4, True, False),  # phi is psi
+])
+def test_factored_matches_dense(n, m, d, tied, drop_leading):
+    phi, psi = positive_factors(n, m, d, seed=n + d)
+    if tied:
+        psi = phi
+    forms = input_forms(phi, psi)
+    rows_d, cols_d, dense = bicluster(forms["dense"], k=3, seed=0,
+                                      drop_leading=drop_leading)
+    rows_f, cols_f, fact = bicluster(forms["factored"], k=3, seed=0,
+                                     drop_leading=drop_leading)
+    np.testing.assert_allclose(fact.singular_values, dense.singular_values,
+                               rtol=0, atol=1e-12)
+    for a, b in ((dense.left_vectors, fact.left_vectors),
+                 (dense.right_vectors, fact.right_vectors)):
+        np.testing.assert_allclose(principal_cosines(a, b), 1.0,
+                                   rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(rows_f, rows_d)
+    np.testing.assert_array_equal(cols_f, cols_d)
+    assert eigen_form_check(forms["factored"], fact) < 1e-12
+
+
+def test_factored_rank_above_d_f_rejected():
+    phi, psi = positive_factors(10, 9, 2, 9)
+    with pytest.raises(ValueError, match="rank 3"):
+        bicluster(SimilarityFactor(source=phi, target=psi), k=3)
 
 
 def test_fenchel_young_zero_violations():

@@ -56,6 +56,10 @@ def test_malformed_lines_report_location(tmp_path):
     with pytest.raises(GraphFormatError, match=r"edges\.tsv:1"):
         load_graph(edge_path, feat_path)
 
+    edge_path.write_text("# comments only\n")
+    with pytest.raises(GraphFormatError, match="no edges"):
+        load_graph(edge_path, feat_path)
+
 
 def test_non_finite_feature_rejected(tmp_path):
     edge_path, feat_path, _ = write_dataset(tmp_path, [(0, 1)],

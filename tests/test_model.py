@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from hencler.graphio import PositionalEncoding, random_walk_pe
-from hencler.model import EmbeddingPair, HenclerParams, ModelDims, \
-    decode_edge, decode_nodes, init_params, load_checkpoint, \
+from hencler.model import CheckpointError, EmbeddingPair, HenclerParams, \
+    ModelDims, decode_edge, decode_nodes, init_params, load_checkpoint, \
     map_features, project, save_checkpoint, sigma_values, similarity_matrix
 from conftest import tiny_graph
 
@@ -196,6 +198,34 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path = tmp_path / "checkpoint.json"
     path.write_text('{"version": 99}')
     with pytest.raises(ValueError, match="version"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_params_that_do_not_match_dims(tmp_path):
+    g = tiny_graph(num_nodes=5, d_x=3, seed=16)
+    _, params = make_model(g, seed=17)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(params, path)
+    good = json.loads(path.read_text())
+    cases = []
+    missing = json.loads(json.dumps(good))
+    del missing["params"]["rec.w1"]
+    cases.append((missing, r"missing \['rec.w1'\]"))
+    extra = json.loads(json.dumps(good))
+    extra["params"]["bogus"] = {"shape": [1], "data": [0.0]}
+    cases.append((extra, r"unexpected \['bogus'\]"))
+    reshaped = json.loads(json.dumps(good))
+    reshaped["params"]["proj_src"]["shape"].reverse()
+    cases.append((reshaped, "'proj_src' has shape"))
+    truncated = json.loads(json.dumps(good))
+    truncated["params"]["proj_src"]["data"].pop()
+    cases.append((truncated, "malformed checkpoint"))
+    for doc, message in cases:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=message):
+            load_checkpoint(path)
+    path.write_text('{"version": 1,')
+    with pytest.raises(CheckpointError, match="malformed JSON"):
         load_checkpoint(path)
 
 
