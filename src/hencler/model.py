@@ -198,8 +198,10 @@ def map_features(g: AttributedGraph, pe: PositionalEncoding,
     x_aug = _augmented_input(g, pe)
     expected = params.dims.d_in
     if x_aug.shape[1] != expected:
-        raise ValueError(f"model expects input width {expected}, "
-                         f"got {x_aug.shape[1]}")
+        raise CheckpointError(
+            f"model expects input width {expected} (d_x {params.dims.d_x} + "
+            f"k_pe {params.dims.k_pe}), got {x_aug.shape[1]} (features "
+            f"{g.feature_dim} + k_pe {pe.values.shape[1]})")
     ps = params.to_paramset()
     source, target = feature_maps(ps, ad.constant(x_aug), tied=params.tied)
     return SimilarityFactor(source=source.value, target=target.value)

@@ -47,6 +47,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.num_clusters < 1 or self.epochs < 0 or self.learning_rate <= 0:
             raise ValueError("num_clusters, epochs, learning_rate must be positive")
+        sizes = {"k_pe": self.k_pe, "hidden": self.hidden, "d_f": self.d_f,
+                 "kmeans_restarts": self.kmeans_restarts}
+        if self.s is not None:
+            sizes["s"] = self.s
+        for name, value in sizes.items():
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
         if self.loss not in ("all", "wksvd", "reconstr"):
             raise ValueError(f"unknown loss mode {self.loss!r}")
         if self.precision not in ("float64", "float32"):

@@ -212,16 +212,44 @@ def test_mismatched_checkpoint_exits_2(tmp_path, dataset, capsys):
     assert not (tmp_path / "sim.csv").exists()
 
 
+def test_input_width_mismatch_exits_2(tmp_path, dataset, capsys):
+    config = write_config(tmp_path, dataset)
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    checkpoint = str(tmp_path / "out" / "checkpoint.json")
+    config = write_config(tmp_path, dataset, k_pe=4)
+    for command in (["oracle", "--output-dir", str(tmp_path / "oracle")],
+                    ["export-similarity", "--output", str(tmp_path / "sim.csv")]):
+        code = main(command + ["--config", str(config),
+                               "--checkpoint", checkpoint])
+        assert code == EXIT_CONFIG, command[0]
+        err = capsys.readouterr().err
+        assert "input width 8" in err and "got 9" in err, err
+    assert not (tmp_path / "oracle").exists()
+    assert not (tmp_path / "sim.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("k_pe", 0), ("hidden", 0), ("d_f", 0), ("kmeans_restarts", 0),
+    ("s", 0), ("eval_every", -1)])
+def test_non_positive_sizes_exit_2(tmp_path, dataset, capsys, key, value):
+    config = write_config(tmp_path, dataset, **{key: value})
+    assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_benchmark_single_size(tmp_path):
     out = tmp_path / "bench.csv"
     code = main(["benchmark", "--sizes", "200", "--epochs", "2",
                  "--output", str(out)])
     assert code == EXIT_OK
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "n,seconds"
+    assert lines[0] == "n,seconds,pe_seconds"
     assert lines[1].startswith("200,")
+    assert len(lines[1].split(",")) == 3
+    assert lines[2].startswith("# end_to_end_linear_fit_r_squared")
     assert lines[-1].startswith("# linear_fit_r_squared")
-    assert len(lines) == 3
+    assert len(lines) == 4
 
 
 def test_benchmark_generation_deterministic():
@@ -235,9 +263,11 @@ def test_benchmark_generation_deterministic():
 def test_run_benchmark_reports_r_squared():
     result = run_benchmark([150, 300], epochs=2, seed=0,
                            measure_memory=True)
-    assert set(result) == {"rows", "r_squared"}
+    assert set(result) == {"rows", "r_squared", "r_squared_end_to_end"}
     assert all("peak_mb" in row for row in result["rows"])
+    assert all(row["pe_seconds"] > 0.0 for row in result["rows"])
     assert -1.0 <= result["r_squared"] <= 1.0
+    assert -1.0 <= result["r_squared_end_to_end"] <= 1.0
 
 
 def test_export_similarity(tmp_path, dataset, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hencler.graphio import AttributedGraph, GraphFormatError, edge_homophily, \
-    load_graph, random_walk_pe, symmetrize
+from hencler.graphio import AttributedGraph, GraphFormatError, \
+    _walk_operators, edge_homophily, load_graph, random_walk_pe, symmetrize
 
 
 def write_dataset(tmp_path, edges, features, labels=None):
@@ -175,6 +175,56 @@ def test_pe_block_size_independence(rng):
     edges = rng.integers(0, n, size=(90, 2))
     edges = np.unique(edges[edges[:, 0] != edges[:, 1]], axis=0)
     g = AttributedGraph(n, True, edges, np.zeros((n, 2)))
-    a = random_walk_pe(g, 4, block_size=7)
-    b = random_walk_pe(g, 4, block_size=512)
-    np.testing.assert_allclose(a.values, b.values, atol=1e-14)
+    for graph in (g, symmetrize(g)):
+        a = random_walk_pe(graph, 4, block_size=7)
+        b = random_walk_pe(graph, 4, block_size=512)
+        np.testing.assert_allclose(a.values, b.values, atol=1e-14)
+
+
+def dense_return_probabilities(g, num_steps):
+    """diag(P^t), t = 1..num_steps, from dense matrix powers of P = D^-1 A."""
+    adj = np.zeros((g.num_nodes, g.num_nodes))
+    np.add.at(adj, (g.edges[:, 0], g.edges[:, 1]), 1.0)
+    out_deg = adj.sum(axis=1, keepdims=True)
+    transition = np.divide(adj, out_deg, out=np.zeros_like(adj),
+                           where=out_deg > 0)
+    return np.stack([np.diag(np.linalg.matrix_power(transition, t))
+                     for t in range(1, num_steps + 1)], axis=1)
+
+
+def pe_exactness_graphs(rng):
+    n = 13
+    edges = rng.integers(0, n, size=(40, 2))
+    edges = np.unique(edges[(edges[:, 0] != edges[:, 1]) & (edges[:, 0] != 4)],
+                      axis=0)
+    sink = AttributedGraph(n, True, edges, np.zeros((n, 1)))
+    # undirected with node 12 isolated and a self-loop on node 0
+    sym = symmetrize(AttributedGraph(
+        n, False, np.vstack([edges[edges.max(axis=1) < 12], [[0, 0]]]),
+        np.zeros((n, 1))))
+    two_way = AttributedGraph(n, True, sym.edges, np.zeros((n, 1)))
+    # complete bipartite K_{4,7} minus a few edges: closed walks are even
+    left, right = np.meshgrid(np.arange(4), np.arange(4, 11), indexing="ij")
+    half = np.stack([left.ravel(), right.ravel()], axis=1)[3:]
+    bipartite = symmetrize(AttributedGraph(11, False, half, np.zeros((11, 1))))
+    return {"sink": sink, "symmetric": sym, "two_way": two_way,
+            "bipartite": bipartite}
+
+
+def test_pe_matches_dense_matrix_powers(rng):
+    graphs = pe_exactness_graphs(rng)
+    assert np.all(graphs["sink"].edges[:, 0] != 4)  # node 4 is a sink
+    assert (graphs["symmetric"].edges == [0, 0]).all(axis=1).any()
+    assert 12 not in graphs["symmetric"].edges
+    for name, g in graphs.items():
+        right, left = _walk_operators(g)
+        assert (right is left) == (name != "sink"), name
+        for num_steps in (1, 2, 5, 16):
+            expected = dense_return_probabilities(g, num_steps)
+            for block_size in (3, 5, 512):
+                pe = random_walk_pe(g, num_steps, block_size=block_size)
+                np.testing.assert_allclose(pe.values, expected, rtol=0,
+                                           atol=1e-14, err_msg=name)
+                assert np.all(pe.values >= 0.0)
+                if name == "bipartite":
+                    assert np.all(pe.values[:, 0::2] == 0.0)

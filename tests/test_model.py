@@ -79,7 +79,7 @@ def test_map_features_validates_width():
     g = tiny_graph(num_nodes=5, d_x=3, seed=1)
     pe, params = make_model(g)
     wrong = PositionalEncoding(values=np.zeros((5, 9)), num_steps=9)
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckpointError, match="got 12"):
         map_features(g, wrong, params)
 
 
