@@ -13,11 +13,10 @@ from .model import CheckpointError, EmbeddingPair, HenclerParams, ModelDims, \
     SimilarityFactor, decode_edge, decode_nodes, init_params, \
     load_checkpoint, map_features, project, save_checkpoint, sigma_values, \
     similarity_matrix
-from .loss import DegreePair, EdgeSample, compute_degrees, edge_rec_loss, \
-    node_rec_loss, sample_edges, total_loss, wksvd_loss
+from .loss import EdgeSample, sample_edges
 from .dual import DualSolution, bicluster, center_dual, center_primal, \
     eigen_form_check, fenchel_young_check, stationarity_residual
-from .evaluate import ClusterResult, assign_clusters, nmi, pairwise_f1
+from .evaluate import assign_clusters, nmi, pairwise_f1
 from .trainer import AdamState, RunRecord, TrainConfig, TrainingDiverged, \
     optimizer_step, train
 from .linalg import frobenius_relerr, kmeans, thin_svd

@@ -105,7 +105,22 @@ def _train_config(doc: dict, g: AttributedGraph, overrides: dict) -> TrainConfig
         config = TrainConfig(**fields)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad training configuration: {exc}") from exc
+    if config.num_clusters > g.num_nodes:
+        raise ConfigError(f"num_clusters {config.num_clusters} exceeds the "
+                          f"{g.num_nodes} nodes of the graph")
     return config
+
+
+def _sizes(text: str, option: str) -> list[int]:
+    """Parse a comma-separated list of integers that are all >= 1."""
+    try:
+        sizes = [int(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{option} must be comma-separated integers, "
+                          f"got {text!r}") from exc
+    if min(sizes) < 1:
+        raise ConfigError(f"{option} must all be >= 1, got {text!r}")
+    return sizes
 
 
 def _write_assignment(path, assignment) -> None:
@@ -132,6 +147,8 @@ def cmd_train(args) -> int:
     g = _load_dataset(doc)
     config = _train_config(doc, g, {"loss": args.loss,
                                     "tie_maps": args.tie_maps or None})
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     base_seed = _resolve_seed(config.seed)
     out_dir = Path(args.output_dir or doc.get("output_dir", "hencler_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -186,9 +203,11 @@ def _write_oracle(out_dir: Path, rows, cols) -> None:
 def cmd_oracle(args) -> int:
     out_dir = Path(args.output_dir or "hencler_oracle")
     seed = _resolve_seed(args.seed)
+    if args.noise < 0:
+        raise ConfigError(f"--noise must be >= 0, got {args.noise}")
 
     if args.synthetic == "blocks":
-        sizes = [int(x) for x in args.block_sizes.split(",")]
+        sizes = _sizes(args.block_sizes, "--block-sizes")
         sim, labels = planted_block_similarity(sizes, noise=args.noise,
                                                seed=seed)
         rows, cols, solution = bicluster(sim, k=len(sizes), seed=seed)
@@ -279,7 +298,9 @@ def _linear_r_squared(xs: np.ndarray, ys: np.ndarray) -> float:
 
 
 def cmd_benchmark(args) -> int:
-    sizes = [int(x) for x in args.sizes.split(",")]
+    sizes = _sizes(args.sizes, "--sizes")
+    if args.epochs < 0:
+        raise ConfigError(f"--epochs must be >= 0, got {args.epochs}")
     seed = _resolve_seed(args.seed)
     result = run_benchmark(sizes, epochs=args.epochs, seed=seed,
                            measure_memory=args.memory)

@@ -2,21 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import kmeans
 from .model import EmbeddingPair
 
-__all__ = ["ClusterResult", "assign_clusters", "nmi", "pairwise_f1"]
-
-
-@dataclass(frozen=True)
-class ClusterResult:
-    assignment: np.ndarray
-    nmi: float
-    pairwise_f1: float
+__all__ = ["assign_clusters", "nmi", "pairwise_f1"]
 
 
 def assign_clusters(emb: EmbeddingPair, k: int, restarts: int = 10,

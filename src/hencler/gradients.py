@@ -38,11 +38,8 @@ __all__ = [
     "square",
     "reciprocal",
     "sqrt",
-    "log",
     "clamp_min",
-    "clip",
     "backward",
-    "forward_backward",
     "grad_check",
 ]
 
@@ -259,37 +256,35 @@ def leaky_relu(a, slope: float = 0.01) -> Var:
                op="leaky_relu", kink_mask=pos)
 
 
+def _stable_sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(-|x|), sigmoid(x)) from one exp; neither overflows for any x."""
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    return e, np.where(x >= 0, 1.0 / denom, e / denom)
+
+
 def sigmoid(a) -> Var:
     a = _lift(a)
-    x = a.value
-    # Numerically stable for large |x|.
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = _check(out, "sigmoid")
+    out = _check(_stable_sigmoid(a.value)[1], "sigmoid")
     return Var(out, ((a, lambda g: g * out * (1.0 - out)),), op="sigmoid")
 
 
 def softplus(a) -> Var:
     """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)); smooth and stable."""
     a = _lift(a)
-    x = a.value
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    out = _check(out, "softplus")
-    sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e, sig = _stable_sigmoid(a.value)
+    out = _check(np.maximum(a.value, 0.0) + np.log1p(e), "softplus")
     return Var(out, ((a, lambda g: g * sig),), op="softplus")
 
 
 def log_sigmoid(a) -> Var:
-    """log(sigmoid(x)) via softplus; avoids the 1-p cancellation in BCE tails."""
+    """log(sigmoid(x)) = min(x, 0) - log1p(exp(-|x|)), with derivative
+    sigmoid(-x); avoids the 1-p cancellation in BCE tails."""
     a = _lift(a)
     x = a.value
-    out = np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))),
-                   x - np.log1p(np.exp(-np.abs(x))))
-    out = _check(out, "log_sigmoid")
-    sig_neg = np.where(x >= 0, np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
-                       1.0 / (1.0 + np.exp(-np.abs(x))))
-
+    e, sig_neg = _stable_sigmoid(-x)
+    tail = np.log1p(e)
+    out = _check(np.where(x >= 0, -tail, x - tail), "log_sigmoid")
     return Var(out, ((a, lambda g: g * sig_neg),), op="log_sigmoid")
 
 
@@ -353,7 +348,7 @@ def trace(a) -> Var:
     if a.value.ndim != 2 or a.value.shape[0] != a.value.shape[1]:
         raise ValueError(f"trace expects a square matrix, got {a.value.shape}")
     out = np.asarray(np.trace(a.value))
-    eye = np.eye(a.value.shape[0])
+    eye = np.eye(a.value.shape[0], dtype=a.value.dtype)
     return Var(out, ((a, lambda g: g * eye),), op="trace")
 
 
@@ -377,13 +372,6 @@ def sqrt(a) -> Var:
     return Var(out, ((a, lambda g: 0.5 * g / out),), op="sqrt")
 
 
-def log(a) -> Var:
-    a = _lift(a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = _check(np.log(a.value), "log")
-    return Var(out, ((a, lambda g: g / a.value),), op="log")
-
-
 def clamp_min(a, floor: float) -> Var:
     """max(a, floor); gradient flows only through the unclamped branch."""
     a = _lift(a)
@@ -391,15 +379,6 @@ def clamp_min(a, floor: float) -> Var:
     out = np.where(keep, a.value, floor)
     return Var(out, ((a, lambda g: np.where(keep, g, 0.0)),),
                op="clamp_min", kink_mask=keep)
-
-
-def clip(a, lo: float, hi: float) -> Var:
-    """Clamp into [lo, hi]; gradient flows only inside the interval."""
-    a = _lift(a)
-    inside = (a.value >= lo) & (a.value <= hi)
-    out = np.clip(a.value, lo, hi)
-    return Var(out, ((a, lambda g: np.where(inside, g, 0.0)),),
-               op="clip", kink_mask=inside)
 
 
 def _topo_order(root: Var) -> list[Var]:
@@ -453,22 +432,6 @@ def backward(loss: Var, wrt: Iterable[Var] | None = None) -> dict[int, np.ndarra
         if node.parents and (want is None or id(node) not in want):
             del grads[id(node)]  # free intermediates early
     return grads
-
-
-def forward_backward(loss_builder: Callable[[ParamSet], Var],
-                     params: ParamSet) -> tuple[float, dict[str, np.ndarray]]:
-    """Evaluate a loss builder and return (loss, gradients per trainable name).
-
-    Parameters that do not influence the loss get zero gradients.
-    """
-    loss = loss_builder(params)
-    trainable = params.trainable()
-    grads = backward(loss, wrt=trainable.values())
-    out = {}
-    for name, var in trainable.items():
-        g = grads.get(id(var))
-        out[name] = np.zeros_like(var.value) if g is None else g
-    return float(loss.value), out
 
 
 def _signatures_equal(a: list[np.ndarray], b: list[np.ndarray]) -> bool:

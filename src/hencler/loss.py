@@ -1,9 +1,10 @@
 """Training losses and the per-epoch edge sample.
 
-Each loss exists twice: a plain-array function (the evaluation contract)
-and a tape builder used by the trainer; a test pins them to each other.
-Nothing here ever materializes the n x n similarity matrix: degrees come
-from factor column sums and edge terms touch only the sampled pairs.
+The tape builders below are the only implementation of the objective: the
+trainer runs them, and tests evaluate them on constant inputs against
+independent oracles. Nothing here ever materializes the n x n similarity
+matrix: degrees come from factor column sums and edge terms touch only the
+sampled pairs.
 """
 
 from __future__ import annotations
@@ -14,73 +15,23 @@ import numpy as np
 
 from . import gradients as ad
 from .graphio import AttributedGraph
-from .model import HenclerParams, SimilarityFactor, EmbeddingPair, edge_logits, \
-    feature_maps, node_decoder, projections, sigma_from
+from .model import edge_logits, feature_maps, node_decoder, projections, \
+    sigma_from
 
 __all__ = [
     "EPS_DEG",
-    "PROB_CLIP",
-    "DegreePair",
     "EdgeSample",
-    "compute_degrees",
-    "wksvd_loss",
-    "node_rec_loss",
     "sample_edges",
-    "edge_rec_loss",
-    "total_loss",
     "build_total_loss",
 ]
 
 EPS_DEG = 1e-6  # lower clamp for learned similarity degrees
-PROB_CLIP = 1e-7  # decoder probabilities clamped to [PROB_CLIP, 1 - PROB_CLIP]
-
-
-@dataclass(frozen=True)
-class DegreePair:
-    """Row and column mass of the (never materialized) similarity matrix."""
-
-    out_degree: np.ndarray  # (n,)  sum_u source_v . target_u
-    in_degree: np.ndarray  # (n,)  sum_u source_u . target_v
 
 
 @dataclass(frozen=True)
 class EdgeSample:
     positives: np.ndarray  # (2n, 2) pairs drawn from the edge set
     negatives: np.ndarray  # (2n, 2) non-edges, no self-pairs
-
-
-def compute_degrees(sf: SimilarityFactor) -> DegreePair:
-    """Degrees in O(n * d_f) via factor column sums, clamped at EPS_DEG."""
-    out_deg = sf.source @ sf.target.sum(axis=0)
-    in_deg = sf.target @ sf.source.sum(axis=0)
-    return DegreePair(out_degree=np.maximum(out_deg, EPS_DEG),
-                      in_degree=np.maximum(in_deg, EPS_DEG))
-
-
-def wksvd_loss(sf: SimilarityFactor, emb: EmbeddingPair, sigma: np.ndarray,
-               degrees: DegreePair, proj_src: np.ndarray,
-               proj_dst: np.ndarray) -> float:
-    """Weighted-variance objective plus the two asymmetry regularizers."""
-    inv_sigma = 1.0 / sigma
-    var_src = np.sum((emb.source ** 2 * inv_sigma).sum(axis=1)
-                     / degrees.out_degree)
-    var_dst = np.sum((emb.target ** 2 * inv_sigma).sum(axis=1)
-                     / degrees.in_degree)
-    proj_penalty = float(np.trace(proj_src.T @ proj_dst))
-    map_penalty = np.sum((sf.source * sf.target).sum(axis=1)
-                         / np.sqrt(degrees.out_degree * degrees.in_degree))
-    result = -var_src - var_dst + proj_penalty + map_penalty
-    if not np.isfinite(result):
-        raise ArithmeticError("wksvd_loss is non-finite")
-    return float(result)
-
-
-def node_rec_loss(recon: np.ndarray, g: AttributedGraph) -> float:
-    """Mean squared reconstruction error per node."""
-    if recon.shape != g.features.shape:
-        raise ValueError(f"shape mismatch: {recon.shape} vs {g.features.shape}")
-    diff = recon - g.features
-    return float(np.sum(diff * diff) / g.num_nodes)
 
 
 def _edge_keys(g: AttributedGraph) -> np.ndarray:
@@ -127,45 +78,15 @@ def sample_edges(g: AttributedGraph, seed: int) -> EdgeSample:
     return EdgeSample(positives=positives, negatives=negatives)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-
-def edge_rec_loss(emb: EmbeddingPair, params: HenclerParams,
-                  sample: EdgeSample) -> float:
-    """Mean binary cross-entropy of the dot-product edge decoder."""
-    pairs = np.concatenate([sample.positives, sample.negatives], axis=0)
-    labels = np.concatenate([np.ones(len(sample.positives)),
-                             np.zeros(len(sample.negatives))])
-    cross = params.arrays["proj_src"].T @ params.arrays["proj_dst"]
-    logits = np.sum((emb.source[pairs[:, 0]] @ cross)
-                    * emb.target[pairs[:, 1]], axis=1)
-    probs = np.clip(_stable_sigmoid(logits), PROB_CLIP, 1.0 - PROB_CLIP)
-    bce = -(labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs))
-    return float(bce.mean())
-
-
-def total_loss(wksvd: float, node_rec: float, edge_rec: float,
-               mode: str = "all") -> float:
-    """Unit-weight sum of the enabled loss components."""
-    if mode == "all":
-        return wksvd + node_rec + edge_rec
-    if mode == "wksvd":
-        return wksvd
-    if mode == "reconstr":
-        return node_rec + edge_rec
-    raise ValueError(f"unknown loss mode {mode!r}")
-
-
 # ---------------------------------------------------------------------------
 # Tape builders (training path)
 # ---------------------------------------------------------------------------
 
-def _build_degrees(source: ad.Var, target: ad.Var,
-                   d_f: int) -> tuple[ad.Var, ad.Var]:
-    target_mass = ad.reshape(ad.reduce_sum(target, axis=0), (d_f, 1))
-    source_mass = ad.reshape(ad.reduce_sum(source, axis=0), (d_f, 1))
+def _build_degrees(source: ad.Var, target: ad.Var) -> tuple[ad.Var, ad.Var]:
+    """Row and column sums of source @ target.T in O(n * d_f), clamped at
+    EPS_DEG."""
+    target_mass = ad.reshape(ad.reduce_sum(target, axis=0), (-1, 1))
+    source_mass = ad.reshape(ad.reduce_sum(source, axis=0), (-1, 1))
     n = source.value.shape[0]
     out_deg = ad.reshape(ad.matmul(source, target_mass), (n,))
     in_deg = ad.reshape(ad.matmul(target, source_mass), (n,))
@@ -192,8 +113,8 @@ def _build_wksvd(ps, source, target, src_emb, dst_emb, sigma_isqrt,
     return -var_src - var_dst + proj_penalty + map_penalty
 
 
-def _build_node_rec(ps, src_emb, dst_emb, features: np.ndarray) -> ad.Var:
-    recon = node_decoder(ps, src_emb, dst_emb)
+def _build_node_rec(recon: ad.Var, features: np.ndarray) -> ad.Var:
+    """Mean over nodes of the squared reconstruction error."""
     diff = recon - ad.constant(features)
     return ad.scale(ad.reduce_sum(ad.square(diff)), 1.0 / features.shape[0])
 
@@ -204,10 +125,9 @@ def _build_edge_rec(ps, src_emb, dst_emb, sample: EdgeSample) -> ad.Var:
     labels = np.concatenate([np.ones(len(sample.positives), dtype=dtype),
                              np.zeros(len(sample.negatives), dtype=dtype)])
     logits = edge_logits(ps, src_emb, dst_emb, pairs[:, 0], pairs[:, 1])
-    # Exact log-space BCE: log(sigmoid(x)) via softplus is finite for all
-    # finite logits, so no probability clamp is needed here and gradients
-    # stay alive on saturated pairs. Matches the clamped evaluation formula
-    # whenever the clamp is inactive (|logit| < ~16).
+    # Exact log-space BCE: log(sigmoid(x)) is finite for all finite logits,
+    # so no probability clamp is needed and gradients stay alive on
+    # saturated pairs.
     log_on = ad.log_sigmoid(logits)
     log_off = ad.log_sigmoid(ad.scale(logits, -1.0))
     matched = ad.mul(ad.constant(labels), log_on) \
@@ -216,7 +136,7 @@ def _build_edge_rec(ps, src_emb, dst_emb, sample: EdgeSample) -> ad.Var:
 
 
 def build_total_loss(ps: ad.ParamSet, x_aug: np.ndarray, features: np.ndarray,
-                     sample: EdgeSample | None, d_f: int, tied: bool = False,
+                     sample: EdgeSample | None, tied: bool = False,
                      mode: str = "all") -> dict[str, ad.Var]:
     """Full training objective on the tape.
 
@@ -229,13 +149,14 @@ def build_total_loss(ps: ad.ParamSet, x_aug: np.ndarray, features: np.ndarray,
     src_emb, dst_emb = projections(ps, source, target)
     parts: dict[str, ad.Var] = {}
     if mode in ("all", "wksvd"):
-        out_deg, in_deg = _build_degrees(source, target, d_f)
+        out_deg, in_deg = _build_degrees(source, target)
         parts["wksvd"] = _build_wksvd(ps, source, target, src_emb, dst_emb,
                                       sigma_from(ps), out_deg, in_deg)
     if mode in ("all", "reconstr"):
         if sample is None:
             raise ValueError("edge reconstruction requires an edge sample")
-        parts["node_rec"] = _build_node_rec(ps, src_emb, dst_emb, features)
+        parts["node_rec"] = _build_node_rec(
+            node_decoder(ps, src_emb, dst_emb), features)
         parts["edge_rec"] = _build_edge_rec(ps, src_emb, dst_emb, sample)
     total = None
     for var in parts.values():

@@ -216,10 +216,9 @@ def project(sf: SimilarityFactor, params: HenclerParams) -> EmbeddingPair:
 
 def sigma_values(sv_logits: np.ndarray) -> np.ndarray:
     """Softmax of the logits: entries in (0, 1) summing to 1."""
-    shifted = np.asarray(sv_logits, dtype=np.float64)
-    shifted = shifted - shifted.max()
-    ex = np.exp(shifted)
-    return ex / ex.sum()
+    ps = ad.ParamSet()
+    ps.add("sv_logits", sv_logits)
+    return sigma_from(ps).value
 
 
 def decode_nodes(emb: EmbeddingPair, params: HenclerParams) -> np.ndarray:
@@ -231,11 +230,9 @@ def decode_nodes(emb: EmbeddingPair, params: HenclerParams) -> np.ndarray:
 def decode_edge(emb: EmbeddingPair, params: HenclerParams,
                 u: int, v: int) -> float:
     """Probability of an edge u -> v; asymmetric in (u, v) in general."""
-    cross = params.arrays["proj_src"].T @ params.arrays["proj_dst"]
-    logit = float(emb.source[u] @ cross @ emb.target[v])
-    if logit >= 0:
-        return float(1.0 / (1.0 + np.exp(-logit)))
-    return float(np.exp(logit) / (1.0 + np.exp(logit)))
+    logit = edge_logits(params.to_paramset(), ad.constant(emb.source),
+                        ad.constant(emb.target), [u], [v])
+    return float(ad.sigmoid(logit).value[0])
 
 
 def similarity_matrix(sf: SimilarityFactor) -> np.ndarray:
@@ -267,6 +264,9 @@ def load_checkpoint(path) -> HenclerParams:
     by name and shape, or CheckpointError names the first that does not."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") \
+            from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: malformed JSON: {exc}") from exc
     if doc.get("version") != 1:

@@ -45,6 +45,13 @@ class TrainConfig:
     train_sigma: bool = False  # joint sigma training collapses the spectrum
 
     def __post_init__(self):
+        for name in ("num_clusters", "epochs", "hidden", "d_f", "s", "k_pe",
+                     "seed", "eval_every", "kmeans_restarts"):
+            value = getattr(self, name)
+            if (name != "s" or value is not None) and (
+                    isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer))):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.num_clusters < 1 or self.epochs < 0 or self.learning_rate <= 0:
             raise ValueError("num_clusters, epochs, learning_rate must be positive")
         sizes = {"k_pe": self.k_pe, "hidden": self.hidden, "d_f": self.d_f,
@@ -196,8 +203,7 @@ def train(g: AttributedGraph, config: TrainConfig,
                   if needs_edges else None)
         try:
             parts = build_total_loss(ps, x_aug, features, sample,
-                                     d_f=dims.d_f, tied=config.tie_maps,
-                                     mode=config.loss)
+                                     tied=config.tie_maps, mode=config.loss)
             grads = ad.backward(parts["total"],
                                 wrt=ps.trainable().values())
             named = {name: grads[id(var)]

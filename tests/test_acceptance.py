@@ -74,8 +74,7 @@ def test_criterion_1_gradient_correctness():
         sample = sample_edges(g, seed=100 + seed)
 
         def builder(p):
-            return build_total_loss(p, x_aug, g.features, sample,
-                                    d_f=128)["total"]
+            return build_total_loss(p, x_aug, g.features, sample)["total"]
 
         worst = max(worst, ad.grad_check(builder, ps, step=1e-5,
                                          coords_per_param=20, seed=seed))

@@ -230,12 +230,37 @@ def test_input_width_mismatch_exits_2(tmp_path, dataset, capsys):
 
 @pytest.mark.parametrize("key,value", [
     ("k_pe", 0), ("hidden", 0), ("d_f", 0), ("kmeans_restarts", 0),
-    ("s", 0), ("eval_every", -1)])
+    ("s", 0), ("eval_every", -1), ("epochs", 2.5), ("k_pe", True),
+    ("num_clusters", 100)])
 def test_non_positive_sizes_exit_2(tmp_path, dataset, capsys, key, value):
     config = write_config(tmp_path, dataset, **{key: value})
     assert main(["train", "--config", str(config)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "{config}", "--repeats", "0"],
+    ["train", "--config", "{config}", "--repeats", "-2"],
+    ["benchmark", "--sizes", "abc"],
+    ["benchmark", "--sizes", "50", "--epochs", "-1"],
+    ["oracle", "--synthetic", "blocks", "--block-sizes", "a,b"],
+    ["oracle", "--synthetic", "blocks", "--block-sizes", "0,3"],
+    ["oracle", "--synthetic", "blocks", "--noise", "-1"],
+    ["oracle", "--config", "{config}", "--checkpoint", "missing.json"],
+    ["export-similarity", "--config", "{config}",
+     "--checkpoint", "missing.json"],
+], ids=["repeats-0", "repeats-neg", "sizes-abc", "epochs-neg",
+        "block-sizes-abc", "block-sizes-0", "noise-neg",
+        "oracle-missing-checkpoint", "export-missing-checkpoint"])
+def test_bad_arguments_exit_2_and_write_nothing(tmp_path, dataset,
+                                                monkeypatch, capsys, argv):
+    config = write_config(tmp_path, dataset)
+    monkeypatch.chdir(tmp_path)  # default output paths land in tmp_path
+    before = sorted(tmp_path.rglob("*"))
+    assert main([arg.format(config=config) for arg in argv]) == EXIT_CONFIG
+    assert "input error" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_benchmark_single_size(tmp_path):

@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from hencler import gradients as ad
 from hencler.graphio import AttributedGraph, random_walk_pe
-from hencler.loss import EPS_DEG, EdgeSample, build_total_loss, \
-    compute_degrees, edge_rec_loss, node_rec_loss, sample_edges, total_loss, \
-    wksvd_loss
+from hencler.loss import EPS_DEG, EdgeSample, _build_degrees, \
+    _build_edge_rec, _build_node_rec, _build_wksvd, build_total_loss, \
+    sample_edges
 from hencler.model import EmbeddingPair, ModelDims, SimilarityFactor, \
-    init_params, map_features, project, sigma_values
+    decode_nodes, init_params, map_features, project, projections, \
+    sigma_values
 from conftest import tiny_graph
 
 
@@ -17,52 +20,77 @@ def random_factors(n, d_f, seed):
                             target=rng.uniform(0.1, 1.0, size=(n, d_f)))
 
 
+def degrees(sf):
+    """The builder's clamped (out, in) degrees on constant factors."""
+    out_deg, in_deg = _build_degrees(ad.constant(sf.source),
+                                     ad.constant(sf.target))
+    return out_deg.value, in_deg.value
+
+
+def wksvd_value(sf, proj_src, proj_dst, sigma_isqrt):
+    """The wKSVD builder on constant factors; `sigma_isqrt` is the softmax
+    output the trainer feeds it."""
+    ps = ad.ParamSet()
+    ps.add("proj_src", proj_src)
+    ps.add("proj_dst", proj_dst)
+    source, target = ad.constant(sf.source), ad.constant(sf.target)
+    src_emb, dst_emb = projections(ps, source, target)
+    out_deg, in_deg = _build_degrees(source, target)
+    return float(_build_wksvd(ps, source, target, src_emb, dst_emb,
+                              ad.constant(sigma_isqrt), out_deg,
+                              in_deg).value)
+
+
+def edge_rec_value(emb, params, sample):
+    """The edge-reconstruction builder on constant embeddings."""
+    return float(_build_edge_rec(params.to_paramset(),
+                                 ad.constant(emb.source),
+                                 ad.constant(emb.target), sample).value)
+
+
 def test_degrees_all_ones():
     sf = SimilarityFactor(source=np.ones((4, 1)), target=np.ones((4, 1)))
-    deg = compute_degrees(sf)
-    np.testing.assert_allclose(deg.out_degree, [4.0] * 4)
-    np.testing.assert_allclose(deg.in_degree, [4.0] * 4)
+    out_deg, in_deg = degrees(sf)
+    np.testing.assert_allclose(out_deg, [4.0] * 4)
+    np.testing.assert_allclose(in_deg, [4.0] * 4)
 
 
 def test_degrees_clamp_case():
     sf = SimilarityFactor(source=np.array([[1.0, 0.0]]),
                           target=np.array([[0.0, 1.0]]))
-    deg = compute_degrees(sf)
-    assert deg.out_degree[0] == EPS_DEG
-    assert deg.in_degree[0] == EPS_DEG
+    out_deg, in_deg = degrees(sf)
+    assert out_deg[0] == EPS_DEG
+    assert in_deg[0] == EPS_DEG
 
 
 def test_degrees_match_materialized_similarity():
     for seed in range(5):
         sf = random_factors(5, 3, seed)
         sim = sf.source @ sf.target.T
-        deg = compute_degrees(sf)
-        np.testing.assert_allclose(deg.out_degree, sim.sum(axis=1), atol=1e-10)
-        np.testing.assert_allclose(deg.in_degree, sim.sum(axis=0), atol=1e-10)
+        out_deg, in_deg = degrees(sf)
+        np.testing.assert_allclose(out_deg, sim.sum(axis=1), atol=1e-10)
+        np.testing.assert_allclose(in_deg, sim.sum(axis=0), atol=1e-10)
 
 
 def test_wksvd_hand_case_scalar():
     sf = SimilarityFactor(source=np.ones((1, 1)), target=np.ones((1, 1)))
-    emb = EmbeddingPair(source=np.ones((1, 1)), target=np.ones((1, 1)))
-    deg = compute_degrees(sf)
-    value = wksvd_loss(sf, emb, np.ones(1), deg, np.ones((1, 1)),
-                       np.ones((1, 1)))
+    value = wksvd_value(sf, np.ones((1, 1)), np.ones((1, 1)), np.ones(1))
     assert value == pytest.approx(0.0, abs=1e-12)  # -1 - 1 + 1 + 1
 
 
 def test_wksvd_zero_projection_leaves_map_penalty():
     sf = random_factors(6, 4, 1)
-    deg = compute_degrees(sf)
+    out_deg, in_deg = degrees(sf)
     zeros = np.zeros((4, 2))
-    emb = EmbeddingPair(source=sf.source @ zeros, target=sf.target @ zeros)
-    value = wksvd_loss(sf, emb, np.full(2, 0.5), deg, zeros, zeros)
+    value = wksvd_value(sf, zeros, zeros, np.full(2, 0.5))
     expected = np.sum((sf.source * sf.target).sum(axis=1)
-                      / np.sqrt(deg.out_degree * deg.in_degree))
+                      / np.sqrt(out_deg * in_deg))
     assert value == pytest.approx(expected, rel=1e-12)
 
 
-def wksvd_bruteforce(sf, proj_src, proj_dst, sigma):
-    """Scalar-loop oracle over the materialized similarity matrix."""
+def wksvd_bruteforce(sf, proj_src, proj_dst, sigma_isqrt):
+    """Scalar-loop oracle over the materialized similarity matrix; the
+    inverse singular values are sigma_isqrt ** 2."""
     sim = sf.source @ sf.target.T
     n = sim.shape[0]
     d1 = np.maximum(sim.sum(axis=1), EPS_DEG)
@@ -71,8 +99,8 @@ def wksvd_bruteforce(sf, proj_src, proj_dst, sigma):
     for v in range(n):
         e = proj_src.T @ sf.source[v]
         r = proj_dst.T @ sf.target[v]
-        total -= (e * e / sigma).sum() / d1[v]
-        total -= (r * r / sigma).sum() / d2[v]
+        total -= (e * e * sigma_isqrt ** 2).sum() / d1[v]
+        total -= (r * r * sigma_isqrt ** 2).sum() / d2[v]
         total += np.sqrt(1.0 / (d1[v] * d2[v])) * sf.source[v] @ sf.target[v]
     return total
 
@@ -83,12 +111,9 @@ def test_wksvd_matches_bruteforce_oracle():
         sf = random_factors(8, 4, seed + 10)
         proj_src = rng.normal(size=(4, 3))
         proj_dst = rng.normal(size=(4, 3))
-        sigma = rng.uniform(0.2, 1.0, size=3)
-        deg = compute_degrees(sf)
-        emb = EmbeddingPair(source=sf.source @ proj_src,
-                            target=sf.target @ proj_dst)
-        got = wksvd_loss(sf, emb, sigma, deg, proj_src, proj_dst)
-        want = wksvd_bruteforce(sf, proj_src, proj_dst, sigma)
+        sigma_isqrt = rng.uniform(0.2, 1.0, size=3)
+        got = wksvd_value(sf, proj_src, proj_dst, sigma_isqrt)
+        want = wksvd_bruteforce(sf, proj_src, proj_dst, sigma_isqrt)
         assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -97,28 +122,33 @@ def test_wksvd_invariant_under_column_permutation():
     sf = random_factors(7, 5, 20)
     proj_src = rng.normal(size=(5, 4))
     proj_dst = rng.normal(size=(5, 4))
-    sigma = rng.uniform(0.2, 1.0, size=4)
-    deg = compute_degrees(sf)
-
-    def value(ps, pd, sg):
-        emb = EmbeddingPair(source=sf.source @ ps, target=sf.target @ pd)
-        return wksvd_loss(sf, emb, sg, deg, ps, pd)
-
+    sigma_isqrt = rng.uniform(0.2, 1.0, size=4)
     perm = rng.permutation(4)
-    assert value(proj_src, proj_dst, sigma) == pytest.approx(
-        value(proj_src[:, perm], proj_dst[:, perm], sigma[perm]), rel=1e-12)
+    assert wksvd_value(sf, proj_src, proj_dst, sigma_isqrt) == pytest.approx(
+        wksvd_value(sf, proj_src[:, perm], proj_dst[:, perm],
+                    sigma_isqrt[perm]), rel=1e-12)
+
+
+def node_rec_oracle(recon, features):
+    """Per-node squared error, averaged over nodes."""
+    return np.mean([np.sum((recon[v] - features[v]) ** 2)
+                    for v in range(len(features))])
 
 
 def test_node_rec_loss_cases():
     g = tiny_graph(num_nodes=4, d_x=3, seed=4)
-    assert node_rec_loss(g.features.copy(), g) == 0.0
-    assert node_rec_loss(g.features + 1.0, g) == pytest.approx(3.0)
+
+    def value(recon):
+        return float(_build_node_rec(ad.constant(recon), g.features).value)
+
+    assert value(g.features.copy()) == 0.0
+    assert value(g.features + 1.0) == pytest.approx(3.0)
     rng = np.random.default_rng(5)
     recon = rng.normal(size=g.features.shape)
-    want = np.mean([np.sum((recon[v] - g.features[v]) ** 2) for v in range(4)])
-    assert node_rec_loss(recon, g) == pytest.approx(want, rel=1e-12)
+    assert value(recon) == pytest.approx(node_rec_oracle(recon, g.features),
+                                         rel=1e-12)
     with pytest.raises(ValueError):
-        node_rec_loss(np.zeros((4, 2)), g)
+        value(np.zeros((4, 2)))
 
 
 def test_sample_edges_single_edge_forced():
@@ -173,37 +203,50 @@ def test_edge_rec_uniform_probabilities_give_ln2():
     zero_emb = EmbeddingPair(source=np.zeros_like(emb.source),
                              target=np.zeros_like(emb.target))
     sample = sample_edges(g, seed=0)
-    assert edge_rec_loss(zero_emb, params, sample) == pytest.approx(np.log(2.0))
+    assert edge_rec_value(zero_emb, params, sample) == pytest.approx(
+        np.log(2.0))
 
 
-def test_edge_rec_perfect_decoder_hits_clamp_floor():
-    # one positive and one negative pair with saturated logits
+def test_edge_rec_saturated_logits_stay_finite_with_gradient():
+    # one positive and one negative pair, both decoded right at |logit| 100:
+    # the exact log-space loss is log1p(exp(-100)) ~ 3.7e-44, and the
+    # gradient on those logits does not vanish
     dims = ModelDims(d_x=2, k_pe=1, hidden=3, d_f=2, s=2)
     params = init_params(dims, seed=0)
     params.arrays["proj_src"] = np.eye(2)
     params.arrays["proj_dst"] = np.eye(2)
-    big = 100.0
-    emb = EmbeddingPair(source=np.array([[big, 0.0], [0.0, big]]),
-                        target=np.array([[1.0, -1.0], [0.5, 0.5]]))
-    sample = EdgeSample(positives=np.array([[0, 0]]),  # logit +100 -> p ~ 1
-                        negatives=np.array([[1, 0]]))  # logit -100 -> p ~ 0
-    value = edge_rec_loss(emb, params, sample)
-    assert value == pytest.approx(-np.log(1.0 - 1e-7), rel=1e-6)
+    ps = params.to_paramset()
+    src = ps.add("src_emb", np.array([[100.0, 0.0], [0.0, 100.0]]))
+    dst = ad.constant(np.array([[1.0, -1.0], [0.5, 0.5]]))
+    sample = EdgeSample(positives=np.array([[0, 0]]),  # logit +100
+                        negatives=np.array([[1, 0]]))  # logit -100
+    loss = _build_edge_rec(ps, src, dst, sample)
+    assert np.isfinite(loss.value)
+    assert float(loss.value) == pytest.approx(np.log1p(np.exp(-100.0)),
+                                              rel=1e-12)
+    g_src = ad.backward(loss, wrt=[src])[id(src)]
+    assert np.all(np.isfinite(g_src))
+    assert np.all(g_src != 0.0)
 
 
-def test_edge_rec_matches_scalar_loop():
-    g, params, emb = make_edge_setup(11)
-    sample = sample_edges(g, seed=3)
+def bce_scalar_loop(emb, params, sample):
+    """Mean binary cross-entropy of the dot-product decoder, pair by pair,
+    as log(1 + e^x) - y x in the form that is exact at any logit x."""
     cross = params.arrays["proj_src"].T @ params.arrays["proj_dst"]
     total = 0.0
     pairs = np.concatenate([sample.positives, sample.negatives])
     labels = [1.0] * len(sample.positives) + [0.0] * len(sample.negatives)
     for (u, v), y in zip(pairs, labels):
-        p = 1.0 / (1.0 + np.exp(-(emb.source[u] @ cross @ emb.target[v])))
-        p = min(max(p, 1e-7), 1.0 - 1e-7)
-        total += -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    want = total / len(pairs)
-    assert edge_rec_loss(emb, params, sample) == pytest.approx(want, rel=1e-10)
+        x = float(emb.source[u] @ cross @ emb.target[v])
+        total += max(x, 0.0) - y * x + math.log1p(math.exp(-abs(x)))
+    return total / len(pairs)
+
+
+def test_edge_rec_matches_scalar_loop():
+    g, params, emb = make_edge_setup(11)
+    sample = sample_edges(g, seed=3)
+    assert edge_rec_value(emb, params, sample) == pytest.approx(
+        bce_scalar_loop(emb, params, sample), rel=1e-10)
 
 
 def test_edge_rec_decreases_toward_labels():
@@ -216,56 +259,79 @@ def test_edge_rec_decreases_toward_labels():
                         target=np.array([[0.5, 0.2], [-0.1, 0.6]]))
     sample = EdgeSample(positives=np.array([[0, 0]]),
                         negatives=np.array([[1, 1]]))
-    base = edge_rec_loss(emb, params, sample)
+    base = edge_rec_value(emb, params, sample)
     improved = emb.source.copy()
     improved[0] += 0.5 * emb.target[0]  # raise the positive pair's logit
-    assert edge_rec_loss(EmbeddingPair(improved, emb.target), params,
-                         sample) < base
+    assert edge_rec_value(EmbeddingPair(improved, emb.target), params,
+                          sample) < base
+
+
+def builder_inputs(seed=13, n=9):
+    g = tiny_graph(num_nodes=n, d_x=4, seed=seed)
+    pe = random_walk_pe(g, 3)
+    dims = ModelDims(d_x=4, k_pe=3, hidden=8, d_f=6, s=4)
+    params = init_params(dims, seed=seed + 1)
+    x_aug = np.hstack([g.features, pe.values])
+    return g, pe, params, x_aug, sample_edges(g, seed=seed + 2)
 
 
 def test_total_loss_modes():
-    assert total_loss(0.0, 0.0, np.log(2.0)) == pytest.approx(np.log(2.0))
-    assert total_loss(1.5, 2.0, 3.0, mode="wksvd") == 1.5
-    assert total_loss(1.5, 2.0, 3.0, mode="reconstr") == 5.0
-    assert total_loss(1.5, 2.0, 3.0, mode="all") == 6.5
+    g, _, params, x_aug, sample = builder_inputs()
+    ps = params.to_paramset()
+    parts = {mode: build_total_loss(ps, x_aug, g.features, sample, mode=mode)
+             for mode in ("all", "wksvd", "reconstr")}
+    assert set(parts["all"]) == {"wksvd", "node_rec", "edge_rec", "total"}
+    assert set(parts["wksvd"]) == {"wksvd", "total"}
+    assert set(parts["reconstr"]) == {"node_rec", "edge_rec", "total"}
+    value = {mode: {k: float(v.value) for k, v in p.items()}
+             for mode, p in parts.items()}
+    assert value["wksvd"]["total"] == value["all"]["wksvd"]
+    assert value["reconstr"]["total"] == (value["all"]["node_rec"]
+                                          + value["all"]["edge_rec"])
+    assert value["all"]["total"] == pytest.approx(
+        value["all"]["wksvd"] + value["all"]["node_rec"]
+        + value["all"]["edge_rec"], rel=1e-12)
     with pytest.raises(ValueError):
-        total_loss(0, 0, 0, mode="bogus")
+        build_total_loss(ps, x_aug, g.features, sample, mode="bogus")
+    with pytest.raises(ValueError, match="edge sample"):
+        build_total_loss(ps, x_aug, g.features, None, mode="reconstr")
 
 
 def test_builder_components_match_public_ops():
-    """The tape builders and the plain-array ops compute the same numbers."""
-    g = tiny_graph(num_nodes=9, d_x=4, seed=13)
-    pe = random_walk_pe(g, 3)
-    dims = ModelDims(d_x=4, k_pe=3, hidden=8, d_f=6, s=4)
-    params = init_params(dims, seed=14)
-    # keep decoder logits out of the clamp region, where the exact log-space
-    # builder and the clamped-probability op provably agree
-    for key in ("proj_src", "proj_dst"):
-        params.arrays[key] *= 0.3
-    ps = params.to_paramset(train_sigma=True)
-    x_aug = np.hstack([g.features, pe.values])
-    sample = sample_edges(g, seed=15)
-    parts = build_total_loss(ps, x_aug, g.features, sample, d_f=6)
+    """The builders' losses equal the oracles evaluated on the outputs of
+    the plain-array model functions."""
+    g, pe, params, x_aug, sample = builder_inputs()
+    parts = build_total_loss(params.to_paramset(train_sigma=True), x_aug,
+                             g.features, sample)
 
     sf = map_features(g, pe, params)
     emb = project(sf, params)
-    deg = compute_degrees(sf)
-    sigma_isqrt = sigma_values(params.arrays["sv_logits"])
-    want_wksvd = wksvd_loss(sf, emb, sigma_isqrt ** -2, deg,
-                            params.arrays["proj_src"],
-                            params.arrays["proj_dst"])
+    want_wksvd = wksvd_bruteforce(sf, params.arrays["proj_src"],
+                                  params.arrays["proj_dst"],
+                                  sigma_values(params.arrays["sv_logits"]))
     assert float(parts["wksvd"].value) == pytest.approx(want_wksvd, rel=1e-10)
-
-    from hencler.model import decode_nodes
-    want_node = node_rec_loss(decode_nodes(emb, params), g)
+    want_node = node_rec_oracle(decode_nodes(emb, params), g.features)
     assert float(parts["node_rec"].value) == pytest.approx(want_node,
                                                            rel=1e-10)
-    want_edge = edge_rec_loss(emb, params, sample)
+    want_edge = bce_scalar_loop(emb, params, sample)
     assert float(parts["edge_rec"].value) == pytest.approx(want_edge,
                                                            rel=1e-10)
     total = sum(float(parts[k].value)
                 for k in ("wksvd", "node_rec", "edge_rec"))
     assert float(parts["total"].value) == pytest.approx(total, rel=1e-12)
+
+
+def test_float32_loss_gives_float32_gradients():
+    g, _, params, x_aug, sample = builder_inputs()
+    for name in params.arrays:
+        params.arrays[name] = params.arrays[name].astype(np.float32)
+    ps = params.to_paramset(train_sigma=True)
+    parts = build_total_loss(ps, x_aug.astype(np.float32),
+                             g.features.astype(np.float32), sample)
+    assert parts["total"].value.dtype == np.float32
+    grads = ad.backward(parts["total"], wrt=ps.trainable().values())
+    for name, var in ps.trainable().items():
+        assert grads[id(var)].dtype == np.float32, name
 
 
 def test_sigma_path_gradients_match_finite_differences():
@@ -281,7 +347,7 @@ def test_sigma_path_gradients_match_finite_differences():
     sample = sample_edges(g, seed=24)
 
     def builder(p):
-        return build_total_loss(p, x_aug, g.features, sample, d_f=5)["total"]
+        return build_total_loss(p, x_aug, g.features, sample)["total"]
 
     assert ad.grad_check(builder, ps, step=1e-5, coords_per_param=20,
                          seed=0) < 1e-4
@@ -304,7 +370,7 @@ def test_builder_never_materializes_square_matrix():
         x_aug = np.hstack([g.features, pe.values])
         sample = sample_edges(g, seed=2)
         tracemalloc.start()
-        parts = build_total_loss(ps, x_aug, g.features, sample, d_f=16)
+        parts = build_total_loss(ps, x_aug, g.features, sample)
         ad.backward(parts["total"], wrt=ps.trainable().values())
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
