@@ -86,10 +86,12 @@ def _resolve_seed(seed: int) -> int:
 
 
 def _load_dataset(doc: dict) -> AttributedGraph:
+    directed = doc.get("directed", True)
+    if not isinstance(directed, bool):
+        raise ConfigError(f"directed must be true or false, got {directed!r}")
     try:
         return load_graph(doc["edge_path"], doc["feature_path"],
-                          doc.get("label_path"),
-                          directed=doc.get("directed", True))
+                          doc.get("label_path"), directed=directed)
     except OSError as exc:
         raise ConfigError(f"cannot read dataset: {exc}") from exc
 

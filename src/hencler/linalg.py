@@ -1,7 +1,8 @@
 """Dense matrix kernels: thin SVD, seeded kmeans++, and small utilities.
 
 Everything here runs in float64; the training path may downcast, the
-oracle path must not.
+oracle path must not. kmeans runs all its restarts as one batched Lloyd
+iteration, and each restart gets the labels it would get on its own.
 """
 
 from __future__ import annotations
@@ -60,66 +61,97 @@ def _pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return centers
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d = (np.sum(points * points, axis=1)[:, None]
-         + np.sum(centers * centers, axis=1)[None, :]
-         - 2.0 * points @ centers.T)
-    np.maximum(d, 0.0, out=d)
-    return d
+def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300
+           ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Lloyd iterations of R restarts at once, from centers of shape
+    (R, k, d); returns (labels (R, n), wcss (R,), history).
 
+    `history` holds one (R,) array of objective values per iteration. A
+    restart drops out when its labels repeat and keeps its last values.
+    Per restart, empty clusters are re-seeded to the point farthest from its
+    assigned center, and the objective is non-increasing by construction.
 
-def _lloyd(points: np.ndarray, centers: np.ndarray,
-           max_iter: int = 300) -> tuple[np.ndarray, float, list[float]]:
-    """Lloyd iterations from given centers; returns (labels, wcss, history).
-
-    Empty clusters are re-seeded to the point farthest from its assigned
-    center. The objective history is non-increasing by construction.
+    Every restart gets the bits it would get on its own. The stacked matmul
+    runs one (n, d) @ (d, k) BLAS product per restart, as a lone restart
+    would; one (n, d) @ (d, R * k) product would round some columns
+    differently. Centers are per-coordinate bincount sums over the members
+    in index order divided by the member count, which is
+    `members.mean(axis=0)` bit for bit when d > 1 (numpy sums a single
+    column pairwise instead).
     """
-    k = centers.shape[0]
-    centers = centers.copy()
-    history: list[float] = []
-    labels = None
-    for _ in range(max_iter):
-        d = _sq_dists(points, centers)
+    n, dim = points.shape
+    restarts, k, _ = centers.shape
+    norms = np.sum(points * points, axis=1)
+    twice = 2.0 * points
+    # Row c holds coordinate c of every point once per restart, so the
+    # weights of any A restarts are the contiguous prefix [:, :A * n].
+    coords = np.tile(points.T, (1, restarts))
+
+    def sq_dists(c: np.ndarray) -> np.ndarray:
+        """Squared distances (A, k, n) to the centers (A, k, d)."""
+        d = norms + np.sum(c * c, axis=2)[:, :, None]
+        d -= np.matmul(twice, c.transpose(0, 2, 1)).transpose(0, 2, 1)
+        return np.maximum(d, 0.0, out=d)
+
+    centers = centers.copy()  # rows follow `active`
+    labels = np.zeros((restarts, n), dtype=np.intp)
+    wcss = np.full(restarts, np.inf)
+    history: list[np.ndarray] = []
+    active = np.arange(restarts)
+    rows = np.arange(n)
+    for step in range(max_iter):
+        d = sq_dists(centers)
         new_labels = np.argmin(d, axis=1)  # ties -> lowest cluster index
-        # Re-seed empty clusters to the farthest point.
-        counts = np.bincount(new_labels, minlength=k)
-        for empty in np.flatnonzero(counts == 0):
-            own = d[np.arange(points.shape[0]), new_labels]
-            far = int(np.argmax(own))
-            centers[empty] = points[far]
-            d = _sq_dists(points, centers)
-            new_labels = np.argmin(d, axis=1)
-            counts = np.bincount(new_labels, minlength=k)
-        wcss = float(d[np.arange(points.shape[0]), new_labels].sum())
-        if history and wcss > history[-1] + 1e-9 * max(1.0, history[-1]):
+        bins = (np.arange(active.size)[:, None] * k + new_labels).ravel()
+        counts = np.bincount(bins, minlength=active.size * k).reshape(-1, k)
+        # Re-seed empty clusters to the farthest point, one at a time.
+        for a in np.flatnonzero((counts == 0).any(axis=1)):
+            for empty in np.flatnonzero(counts[a] == 0):
+                far = int(np.argmax(d[a, new_labels[a], rows]))
+                centers[a, empty] = points[far]
+                d[a] = sq_dists(centers[a:a + 1])[0]
+                new_labels[a] = np.argmin(d[a], axis=0)
+        current = np.min(d, axis=1).sum(axis=1)
+        if step and np.any(current > wcss[active] + 1e-9 * np.maximum(
+                1.0, wcss[active])):
             raise AssertionError("kmeans objective increased across iterations")
-        history.append(wcss)
-        if labels is not None and np.array_equal(labels, new_labels):
+        wcss[active] = current
+        history.append(wcss.copy())
+        moved = (np.any(labels[active] != new_labels, axis=1) if step
+                 else np.ones(active.size, dtype=bool))
+        labels[active] = new_labels
+        active, new_labels = active[moved], new_labels[moved]
+        centers = centers[moved]
+        if not active.size:
             break
-        labels = new_labels
-        for j in range(k):
-            members = points[labels == j]
-            if members.shape[0]:
-                centers[j] = members.mean(axis=0)
-    return labels, history[-1], history
+        bins = (np.arange(active.size)[:, None] * k + new_labels).ravel()
+        counts = np.bincount(bins, minlength=active.size * k)
+        sums = np.empty((counts.size, dim))
+        for c, coord in enumerate(coords):
+            sums[:, c] = np.bincount(bins, weights=coord[:bins.size],
+                                     minlength=counts.size)
+        filled = counts > 0
+        flat = centers.reshape(-1, dim)
+        flat[filled] = sums[filled] / counts[filled][:, None]
+    return labels, wcss, history
 
 
 def kmeans(points, k: int, restarts: int = 10, seed: int = 0) -> np.ndarray:
-    """Best-of-`restarts` kmeans++ assignment, deterministic given seed."""
+    """Best-of-`restarts` kmeans++ assignment, deterministic given seed.
+
+    All kmeans++ starts are drawn first, in restart order, then one batched
+    Lloyd run iterates them together; the first restart with the smallest
+    final wcss wins. Each restart's labels are the bits it would get alone.
+    """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError(f"kmeans expects a non-empty 2-D array, got {pts.shape}")
     if not 1 <= k <= pts.shape[0]:
         raise ValueError(f"k={k} out of range for {pts.shape[0]} points")
     rng = np.random.default_rng(seed)
-    best_labels, best_wcss = None, np.inf
-    for _ in range(max(restarts, 1)):
-        centers = _pp_init(pts, k, rng)
-        labels, wcss, _ = _lloyd(pts, centers)
-        if wcss < best_wcss:
-            best_labels, best_wcss = labels, wcss
-    return best_labels
+    starts = np.stack([_pp_init(pts, k, rng) for _ in range(max(restarts, 1))])
+    labels, wcss, _ = _lloyd(pts, starts)
+    return labels[int(np.argmin(wcss))]
 
 
 def frobenius_relerr(a, b) -> float:

@@ -22,6 +22,7 @@ __all__ = [
     "EPS_DEG",
     "EdgeSample",
     "sample_edges",
+    "LossParts",
     "build_total_loss",
 ]
 
@@ -135,19 +136,32 @@ def _build_edge_rec(ps, src_emb, dst_emb, sample: EdgeSample) -> ad.Var:
     return ad.scale(ad.reduce_sum(matched), -1.0 / labels.size)
 
 
+class LossParts(dict):
+    """Loss component Vars keyed by name, plus their sum under "total".
+
+    `embeddings` holds the (src_emb, dst_emb) Vars of the forward the losses
+    were built on, so the trainer can track metrics without a second
+    forward.
+    """
+
+    embeddings: tuple[ad.Var, ad.Var]
+
+
 def build_total_loss(ps: ad.ParamSet, x_aug: np.ndarray, features: np.ndarray,
                      sample: EdgeSample | None, tied: bool = False,
-                     mode: str = "all") -> dict[str, ad.Var]:
+                     mode: str = "all") -> LossParts:
     """Full training objective on the tape.
 
     Returns the component Vars plus their sum under "total"; disabled
-    components are absent from the dict.
+    components are absent from the dict, and the forward's embeddings are
+    its `embeddings` attribute.
     """
     if mode not in ("all", "wksvd", "reconstr"):
         raise ValueError(f"unknown loss mode {mode!r}")
     source, target = feature_maps(ps, ad.constant(x_aug), tied=tied)
     src_emb, dst_emb = projections(ps, source, target)
-    parts: dict[str, ad.Var] = {}
+    parts = LossParts()
+    parts.embeddings = (src_emb, dst_emb)
     if mode in ("all", "wksvd"):
         out_deg, in_deg = _build_degrees(source, target)
         parts["wksvd"] = _build_wksvd(ps, source, target, src_emb, dst_emb,

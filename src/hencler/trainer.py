@@ -1,7 +1,12 @@
-"""Full-batch training loop with per-epoch edge resampling and metric tracking."""
+"""Full-batch training loop with per-epoch edge resampling and metric tracking.
+
+A tracked epoch is scored on the embeddings of the next epoch's training
+forward; only a tracked last epoch needs a forward of its own.
+"""
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -52,6 +57,14 @@ class TrainConfig:
                     isinstance(value, bool)
                     or not isinstance(value, (int, np.integer))):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("tie_maps", "train_sigma"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be true or false, got {value!r}")
+        if isinstance(self.learning_rate, (bool, np.bool_)) or not isinstance(
+                self.learning_rate, numbers.Real):
+            raise ValueError(f"learning_rate must be a number, "
+                             f"got {self.learning_rate!r}")
         if self.num_clusters < 1 or self.epochs < 0 or self.learning_rate <= 0:
             raise ValueError("num_clusters, epochs, learning_rate must be positive")
         sizes = {"k_pe": self.k_pe, "hidden": self.hidden, "d_f": self.d_f,
@@ -159,6 +172,7 @@ def _project_unit_columns(ps: ad.ParamSet) -> None:
 
 
 def _eval_embeddings(ps, x_aug, tied):
+    """Embeddings after the last step, which no training forward sees."""
     source, target = feature_maps(ps, ad.constant(x_aug), tied=tied)
     src_emb, dst_emb = projections(ps, source, target)
     return src_emb.value, dst_emb.value
@@ -198,12 +212,26 @@ def train(g: AttributedGraph, config: TrainConfig,
 
     record = RunRecord()
     needs_edges = config.loss in ("all", "reconstr")
+
+    def track(epoch: int, src_emb: np.ndarray, dst_emb: np.ndarray) -> None:
+        points = np.hstack([src_emb, dst_emb]).astype(np.float64)
+        assignment = kmeans(points, config.num_clusters,
+                            restarts=config.kmeans_restarts, seed=eval_seed)
+        record.track(epoch, nmi_score(assignment, g.labels),
+                     pairwise_f1(assignment, g.labels))
+
+    # A tracked epoch is scored on the embeddings of the next epoch's
+    # forward: the parameters are the ones its step left, and batchnorm is
+    # in train mode both times, so a separate forward gives the same bits.
+    pending = None
     for epoch in range(config.epochs):
         sample = (sample_edges(g, int(sample_rng.integers(2 ** 63)))
                   if needs_edges else None)
         try:
             parts = build_total_loss(ps, x_aug, features, sample,
                                      tied=config.tie_maps, mode=config.loss)
+            if pending is not None:
+                track(pending, *(emb.value for emb in parts.embeddings))
             grads = ad.backward(parts["total"],
                                 wrt=ps.trainable().values())
             named = {name: grads[id(var)]
@@ -216,19 +244,18 @@ def train(g: AttributedGraph, config: TrainConfig,
             record.epoch_losses.append(entry)
             optimizer_step(ps, named, state, config.learning_rate)
             _project_unit_columns(ps)
-
-            if config.eval_every > 0 and (epoch + 1) % config.eval_every == 0:
-                src_emb, dst_emb = _eval_embeddings(ps, x_aug,
-                                                    config.tie_maps)
-                points = np.hstack([src_emb, dst_emb]).astype(np.float64)
-                assignment = kmeans(points, config.num_clusters,
-                                    restarts=config.kmeans_restarts,
-                                    seed=eval_seed)
-                record.track(epoch, nmi_score(assignment, g.labels),
-                             pairwise_f1(assignment, g.labels))
         except ad.NonFiniteError as exc:
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}: {exc}") from exc
+        pending = (epoch if config.eval_every > 0
+                   and (epoch + 1) % config.eval_every == 0 else None)
+    if pending is not None:
+        try:
+            track(pending, *_eval_embeddings(ps, x_aug, config.tie_maps))
+        except ad.NonFiniteError as exc:
+            raise TrainingDiverged(
+                f"non-finite forward after the last epoch ({pending}): "
+                f"{exc}") from exc
 
     params.update_from(ps)
     record.wall_time_s = time.perf_counter() - started

@@ -231,7 +231,8 @@ def test_input_width_mismatch_exits_2(tmp_path, dataset, capsys):
 @pytest.mark.parametrize("key,value", [
     ("k_pe", 0), ("hidden", 0), ("d_f", 0), ("kmeans_restarts", 0),
     ("s", 0), ("eval_every", -1), ("epochs", 2.5), ("k_pe", True),
-    ("num_clusters", 100)])
+    ("num_clusters", 100), ("tie_maps", "false"), ("learning_rate", True),
+    ("directed", "false")])
 def test_non_positive_sizes_exit_2(tmp_path, dataset, capsys, key, value):
     config = write_config(tmp_path, dataset, **{key: value})
     assert main(["train", "--config", str(config)]) == EXIT_CONFIG

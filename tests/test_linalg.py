@@ -7,6 +7,80 @@ from hencler.linalg import _lloyd, _pp_init
 from hencler.evaluate import nmi
 
 
+def sq_dists_reference(points, centers):
+    d = (np.sum(points * points, axis=1)[:, None]
+         + np.sum(centers * centers, axis=1)[None, :]
+         - 2.0 * points @ centers.T)
+    np.maximum(d, 0.0, out=d)
+    return d
+
+
+def lloyd_reference(points, centers, max_iter=300):
+    """Lloyd iterations of one restart, as `linalg` ran them before it
+    batched the restarts; returns (labels, wcss, history)."""
+    k = centers.shape[0]
+    centers = centers.copy()
+    history = []
+    labels = None
+    for _ in range(max_iter):
+        d = sq_dists_reference(points, centers)
+        new_labels = np.argmin(d, axis=1)
+        counts = np.bincount(new_labels, minlength=k)
+        for empty in np.flatnonzero(counts == 0):
+            own = d[np.arange(points.shape[0]), new_labels]
+            far = int(np.argmax(own))
+            centers[empty] = points[far]
+            d = sq_dists_reference(points, centers)
+            new_labels = np.argmin(d, axis=1)
+            counts = np.bincount(new_labels, minlength=k)
+        wcss = float(d[np.arange(points.shape[0]), new_labels].sum())
+        if history and wcss > history[-1] + 1e-9 * max(1.0, history[-1]):
+            raise AssertionError("kmeans objective increased across iterations")
+        history.append(wcss)
+        if labels is not None and np.array_equal(labels, new_labels):
+            break
+        labels = new_labels
+        for j in range(k):
+            members = points[labels == j]
+            if members.shape[0]:
+                centers[j] = members.mean(axis=0)
+    return labels, history[-1], history
+
+
+def kmeans_reference(points, k, restarts=10, seed=0):
+    """Best-of-restarts kmeans, one restart after another."""
+    rng = np.random.default_rng(seed)
+    best_labels, best_wcss = None, np.inf
+    for _ in range(max(restarts, 1)):
+        labels, wcss, _ = lloyd_reference(points, _pp_init(points, k, rng))
+        if wcss < best_wcss:
+            best_labels, best_wcss = labels, wcss
+    return best_labels
+
+
+def kmeans_cases():
+    """(points, k, restarts, seed): random shapes, k = 1, k = n, and
+    duplicated points with more clusters than distinct points, which leaves
+    clusters empty and forces the farthest-point re-seed."""
+    rng = np.random.default_rng(6)
+    for _ in range(40):
+        n = int(rng.integers(2, 120))
+        d = int(rng.integers(2, 40))
+        k = int(rng.integers(1, min(n, 9) + 1))
+        points = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0)
+        yield points, k, int(rng.integers(1, 12)), int(rng.integers(1000))
+    points = rng.normal(size=(30, 4))
+    yield points, 1, 5, 0
+    yield points, 30, 5, 1
+    yield np.round(points), 30, 4, 2  # tied coordinates
+    distinct = rng.normal(size=(4, 3))
+    yield distinct[rng.integers(0, 4, size=25)], 6, 7, 3
+    blobs = np.vstack([distinct[rng.integers(0, 4, size=40)],
+                       rng.normal(size=(10, 3))])
+    yield blobs, 9, 10, 4
+    yield np.zeros((6, 2)), 3, 3, 5  # every point the same
+
+
 def jacobi_svd(matrix, sweeps=60, tol=1e-14):
     """One-sided Jacobi SVD: independent of LAPACK, high accuracy on small
     dense matrices. Returns (left, singulars desc, right)."""
@@ -116,9 +190,13 @@ def test_kmeans_k1_and_kn():
 def test_kmeans_objective_non_increasing():
     rng = np.random.default_rng(4)
     points = rng.normal(size=(60, 3))
-    centers = _pp_init(points, 4, np.random.default_rng(0))
-    _, _, history = _lloyd(points, centers)
-    assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
+    init = np.random.default_rng(0)
+    starts = np.stack([_pp_init(points, 4, init) for _ in range(6)])
+    _, wcss, history = _lloyd(points, starts)
+    steps = np.stack(history)  # (iterations, restarts)
+    assert steps.shape == (len(history), 6) and len(history) > 2
+    assert np.all(steps[1:] <= steps[:-1] + 1e-9)
+    np.testing.assert_array_equal(steps[-1], wcss)
 
 
 def test_kmeans_bit_reproducible():
@@ -127,8 +205,57 @@ def test_kmeans_bit_reproducible():
     first = kmeans(points, 3, restarts=10, seed=123)
     second = kmeans(points, 3, restarts=10, seed=123)
     np.testing.assert_array_equal(first, second)
-    assert not np.array_equal(first, kmeans(points, 3, restarts=10, seed=124)) \
-        or True  # different seed may coincide; only sameness is guaranteed
+    # On structureless points the seed picks the local optimum and the label
+    # order, so a seed that is ignored shows up as one labeling for all.
+    single = {kmeans(points, 3, restarts=1, seed=s).tobytes()
+              for s in range(8)}
+    assert len(single) > 1
+
+
+def test_kmeans_matches_per_restart_reference():
+    for points, k, restarts, seed in kmeans_cases():
+        np.testing.assert_array_equal(
+            kmeans(points, k, restarts=restarts, seed=seed),
+            kmeans_reference(points, k, restarts=restarts, seed=seed),
+            err_msg=f"shape {points.shape}, k={k}, restarts={restarts}")
+
+
+def lloyd_cases():
+    """(points, starts): the kmeans++ starts of `kmeans_cases`, then starts
+    with centers far from every point. kmeans++ never leaves a cluster
+    empty on distinct points, but these do, with points still away from
+    their centers, so the farthest-point re-seed moves the center."""
+    for points, k, restarts, seed in kmeans_cases():
+        init = np.random.default_rng(seed)
+        yield points, np.stack([_pp_init(points, k, init)
+                                for _ in range(restarts)])
+    rng = np.random.default_rng(7)
+    points = rng.normal(size=(40, 3))
+    starts = points[rng.integers(0, 40, size=(4, 5))]
+    starts[1, 0] = 50.0  # one empty cluster
+    starts[2, [1, 3]] = [[60.0, 0, 0], [0, -60.0, 0]]  # two, re-seeded in turn
+    starts[3, 4] = 70.0
+    yield points, starts
+
+
+def test_batched_lloyd_matches_each_restart_alone():
+    """Labels, final wcss and every history value of each restart are the
+    bits the restart gets on its own, and the batch stops with the last
+    restart to converge."""
+    for points, starts in lloyd_cases():
+        labels, wcss, history = _lloyd(points, starts)
+        lengths = []
+        for r, start in enumerate(starts):
+            want_labels, want_wcss, want_history = lloyd_reference(points,
+                                                                   start)
+            np.testing.assert_array_equal(labels[r], want_labels)
+            assert wcss[r] == want_wcss
+            assert [h[r] for h in history[:len(want_history)]] \
+                == want_history
+            assert all(h[r] == want_wcss
+                       for h in history[len(want_history):])
+            lengths.append(len(want_history))
+        assert len(history) == max(lengths)
 
 
 def test_kmeans_validates_k():

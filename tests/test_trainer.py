@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hencler import gradients as ad
+from hencler import trainer
 from hencler.graphio import PositionalEncoding
+from hencler.linalg import kmeans
 from hencler.synthetic import heterophilous_blobs, random_sparse_graph
 from hencler.trainer import AdamState, TrainConfig, TrainingDiverged, \
     optimizer_step, train
@@ -110,10 +112,40 @@ def test_node_reconstruction_learns():
 
 
 def test_divergence_reports_epoch():
+    """A NaN learning rate turns the parameters NaN in the first step, so the
+    loss first goes non-finite at epoch 1, whether tracking is on or not."""
     g = heterophilous_blobs(num_nodes=16, num_classes=2, avg_degree=4,
                             feature_dim=4, seed=6)
-    with pytest.raises((TrainingDiverged, ValueError)):
-        train(g, small_config(learning_rate=np.nan))
+    for eval_every in (1, 0):
+        with pytest.raises(TrainingDiverged, match="epoch 1:"):
+            train(g, small_config(learning_rate=np.nan,
+                                  eval_every=eval_every))
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"precision": "float32"}, {"tie_maps": True}],
+    ids=["float64", "float32", "tied"])
+def test_tracking_reuses_training_forward(monkeypatch, overrides):
+    """Epoch e scored on epoch e + 1's training forward gets the bits of a
+    run that ends at epoch e and scores it with a separate forward."""
+    g = heterophilous_blobs(num_nodes=24, num_classes=2, avg_degree=4,
+                            feature_dim=6, seed=10)
+    seen = []
+
+    def recording_kmeans(points, k, restarts, seed):
+        seen.append(points.copy())
+        return kmeans(points, k, restarts=restarts, seed=seed)
+
+    monkeypatch.setattr(trainer, "kmeans", recording_kmeans)
+    _, every = train(g, small_config(epochs=6, eval_every=1, **overrides))
+    every_points = list(seen)
+    assert [e["epoch"] for e in every.evals] == list(range(6))
+    for epoch in range(6):
+        seen.clear()
+        _, last = train(g, small_config(epochs=epoch + 1,
+                                        eval_every=epoch + 1, **overrides))
+        assert last.evals == [every.evals[epoch]]
+        np.testing.assert_array_equal(seen[0], every_points[epoch])
 
 
 def test_float32_mode_runs():
