@@ -15,7 +15,7 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,9 +38,7 @@ EXIT_GUARD = 3
 
 DENSE_GUARD_NODES = 5000  # materializing S above this needs an explicit override
 
-_TRAIN_KEYS = {"num_clusters", "epochs", "learning_rate", "hidden", "d_f", "s",
-               "k_pe", "seed", "loss", "tie_maps", "eval_every",
-               "kmeans_restarts", "precision"}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 _CONFIG_KEYS = _TRAIN_KEYS | {"edge_path", "feature_path", "label_path",
                               "directed", "output_dir"}
 
@@ -78,10 +76,12 @@ def _resolve_seed(seed: int) -> int:
     env = os.environ.get("HENCLER_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"HENCLER_SEED must be an integer, got {env!r}") \
                 from exc
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
 
 
@@ -97,14 +97,14 @@ def _load_dataset(doc: dict) -> AttributedGraph:
 
 
 def _train_config(doc: dict, g: AttributedGraph, overrides: dict) -> TrainConfig:
-    fields = {k: doc[k] for k in _TRAIN_KEYS if k in doc}
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    if "num_clusters" not in fields or fields["num_clusters"] is None:
+    values = {k: doc[k] for k in _TRAIN_KEYS if k in doc}
+    values.update({k: v for k, v in overrides.items() if v is not None})
+    if values.get("num_clusters") is None:
         if g.num_classes is None:
             raise ConfigError("num_clusters missing and no labels to infer it")
-        fields["num_clusters"] = g.num_classes
+        values["num_clusters"] = g.num_classes
     try:
-        config = TrainConfig(**fields)
+        config = TrainConfig(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad training configuration: {exc}") from exc
     if config.num_clusters > g.num_nodes:
@@ -151,6 +151,9 @@ def cmd_train(args) -> int:
                                     "tie_maps": args.tie_maps or None})
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    if config.eval_every > 0 and g.labels is None:
+        raise ConfigError("metric tracking needs label_path (set eval_every "
+                          "to 0 to train without labels)")
     base_seed = _resolve_seed(config.seed)
     out_dir = Path(args.output_dir or doc.get("output_dir", "hencler_out"))
     out_dir.mkdir(parents=True, exist_ok=True)

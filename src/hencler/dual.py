@@ -119,11 +119,6 @@ def _normalized(s):
     return _scaled(s, 1.0 / np.sqrt(d1), 1.0 / np.sqrt(d2)), d1, d2
 
 
-def normalized_similarity(s: np.ndarray) -> np.ndarray:
-    """D1^{-1/2} S D2^{-1/2} with clamped degree masses."""
-    return _normalized(np.asarray(s, dtype=np.float64))[0]
-
-
 def bicluster(similarity, k: int, seed: int = 0, restarts: int = 10,
               drop_leading: bool = False
               ) -> tuple[np.ndarray, np.ndarray, DualSolution]:

@@ -31,7 +31,6 @@ __all__ = [
     "sigmoid",
     "softplus",
     "log_sigmoid",
-    "softmax",
     "batchnorm",
     "reduce_sum",
     "trace",
@@ -55,14 +54,12 @@ class NonFiniteError(ArithmeticError):
 class Var:
     """One node of the tape: a value plus backward rules to its parents."""
 
-    __slots__ = ("value", "parents", "op", "trainable", "name", "kink_mask")
+    __slots__ = ("value", "parents", "op", "name", "kink_mask")
 
-    def __init__(self, value, parents=(), op="leaf", trainable=False, name=None,
-                 kink_mask=None):
+    def __init__(self, value, parents=(), op="leaf", name=None, kink_mask=None):
         self.value = value
         self.parents = parents  # tuple of (Var, fn: out_grad -> parent_grad)
         self.op = op
-        self.trainable = trainable
         self.name = name
         # Boolean branch pattern for piecewise-linear ops; used by grad_check
         # to reject finite-difference coordinates that cross a kink.
@@ -110,13 +107,13 @@ class ParamSet:
     def __init__(self):
         self._vars: dict[str, Var] = {}
 
-    def add(self, name: str, value: np.ndarray, trainable: bool = True) -> Var:
+    def add(self, name: str, value: np.ndarray) -> Var:
         if name in self._vars:
             raise ValueError(f"duplicate parameter name {name!r}")
         arr = np.array(value, copy=True)
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64)
-        self._vars[name] = Var(arr, op="param", trainable=trainable, name=name)
+        self._vars[name] = Var(arr, op="param", name=name)
         return self._vars[name]
 
     def __getitem__(self, name: str) -> Var:
@@ -129,7 +126,7 @@ class ParamSet:
         return list(self._vars)
 
     def trainable(self) -> dict[str, Var]:
-        return {k: v for k, v in self._vars.items() if v.trainable}
+        return dict(self._vars)
 
     def value(self, name: str) -> np.ndarray:
         return self._vars[name].value
@@ -286,21 +283,6 @@ def log_sigmoid(a) -> Var:
     tail = np.log1p(e)
     out = _check(np.where(x >= 0, -tail, x - tail), "log_sigmoid")
     return Var(out, ((a, lambda g: g * sig_neg),), op="log_sigmoid")
-
-
-def softmax(a) -> Var:
-    """Softmax over the last axis."""
-    a = _lift(a)
-    shifted = a.value - np.max(a.value, axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    out = ex / ex.sum(axis=-1, keepdims=True)
-    out = _check(out, "softmax")
-
-    def back(g):
-        dot = np.sum(g * out, axis=-1, keepdims=True)
-        return out * (g - dot)
-
-    return Var(out, ((a, back),), op="softmax")
 
 
 def batchnorm(x, gamma, beta, eps: float = 1e-5) -> Var:

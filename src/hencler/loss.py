@@ -15,8 +15,7 @@ import numpy as np
 
 from . import gradients as ad
 from .graphio import AttributedGraph
-from .model import edge_logits, feature_maps, node_decoder, projections, \
-    sigma_from
+from .model import edge_logits, feature_maps, node_decoder, projections
 
 __all__ = [
     "EPS_DEG",
@@ -94,17 +93,20 @@ def _build_degrees(source: ad.Var, target: ad.Var) -> tuple[ad.Var, ad.Var]:
     return ad.clamp_min(out_deg, EPS_DEG), ad.clamp_min(in_deg, EPS_DEG)
 
 
-def _build_wksvd(ps, source, target, src_emb, dst_emb, sigma_isqrt,
-                 out_deg, in_deg) -> ad.Var:
-    # The softmax output plays the role of the inverse square roots of the
-    # learned singular values: entries in (0, 1) whose trace is exactly 1,
-    # so the inverse spectrum entering the variance terms is softmax^2 <= 1.
-    inv_sigma = ad.square(sigma_isqrt)
+def _build_wksvd(ps, source, target, src_emb, dst_emb, out_deg,
+                 in_deg) -> ad.Var:
+    # The inverse square roots of the singular values are fixed at 1/s, a
+    # uniform spectrum with trace 1, so the variance terms are weighted by
+    # (1/s)^2. Learning that spectrum jointly collapses it onto a single
+    # direction. The constant is rounded in the embeddings' dtype.
+    dtype = src_emb.value.dtype
+    isqrt = dtype.type(1) / dtype.type(src_emb.value.shape[1])
+    inv_sigma = float(isqrt * isqrt)
     var_src = ad.reduce_sum(ad.mul(
-        ad.reduce_sum(ad.mul(ad.square(src_emb), inv_sigma), axis=1),
+        ad.reduce_sum(ad.scale(ad.square(src_emb), inv_sigma), axis=1),
         ad.reciprocal(out_deg)))
     var_dst = ad.reduce_sum(ad.mul(
-        ad.reduce_sum(ad.mul(ad.square(dst_emb), inv_sigma), axis=1),
+        ad.reduce_sum(ad.scale(ad.square(dst_emb), inv_sigma), axis=1),
         ad.reciprocal(in_deg)))
     proj_penalty = ad.trace(ad.matmul(ad.transpose(ps["proj_src"]),
                                       ps["proj_dst"]))
@@ -165,7 +167,7 @@ def build_total_loss(ps: ad.ParamSet, x_aug: np.ndarray, features: np.ndarray,
     if mode in ("all", "wksvd"):
         out_deg, in_deg = _build_degrees(source, target)
         parts["wksvd"] = _build_wksvd(ps, source, target, src_emb, dst_emb,
-                                      sigma_from(ps), out_deg, in_deg)
+                                      out_deg, in_deg)
     if mode in ("all", "reconstr"):
         if sample is None:
             raise ValueError("edge reconstruction requires an edge sample")

@@ -12,7 +12,7 @@ All forward arithmetic lives in the tape builders (`feature_maps`,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "init_params",
     "map_features",
     "project",
-    "sigma_values",
     "decode_nodes",
     "decode_edge",
     "similarity_matrix",
@@ -75,14 +74,10 @@ class HenclerParams:
     tied: bool
     arrays: dict[str, np.ndarray]
 
-    def to_paramset(self, train_sigma: bool = False) -> ad.ParamSet:
-        # The singular-value logits act as a constrained hyperparameter:
-        # freely minimizing over them provably collapses the spectrum onto a
-        # single direction, so they are excluded from training by default.
+    def to_paramset(self) -> ad.ParamSet:
         ps = ad.ParamSet()
         for name, value in self.arrays.items():
-            ps.add(name, value,
-                   trainable=(name != "sv_logits" or train_sigma))
+            ps.add(name, value)
         return ps
 
     def update_from(self, ps: ad.ParamSet) -> None:
@@ -129,7 +124,6 @@ def init_params(dims: ModelDims, seed: int = 0, tied: bool = False) -> HenclerPa
         arrays.update(_mlp_arrays(rng, dims.d_in, dims.hidden, dims.d_f, "dst"))
     arrays["proj_src"] = _xavier(rng, dims.d_f, dims.s)
     arrays["proj_dst"] = _xavier(rng, dims.d_f, dims.s)
-    arrays["sv_logits"] = np.zeros(dims.s)
     arrays["rec.w1"] = _xavier(rng, 2 * dims.d_f, dims.rec_hidden)
     arrays["rec.b1"] = np.zeros(dims.rec_hidden)
     arrays["rec.w2"] = _xavier(rng, dims.rec_hidden, dims.d_x)
@@ -160,10 +154,6 @@ def feature_maps(ps: ad.ParamSet, x_aug: ad.Var,
 def projections(ps: ad.ParamSet, source: ad.Var,
                 target: ad.Var) -> tuple[ad.Var, ad.Var]:
     return ad.matmul(source, ps["proj_src"]), ad.matmul(target, ps["proj_dst"])
-
-
-def sigma_from(ps: ad.ParamSet) -> ad.Var:
-    return ad.softmax(ps["sv_logits"])
 
 
 def node_decoder(ps: ad.ParamSet, src_emb: ad.Var, dst_emb: ad.Var) -> ad.Var:
@@ -214,13 +204,6 @@ def project(sf: SimilarityFactor, params: HenclerParams) -> EmbeddingPair:
     return EmbeddingPair(source=src_emb.value, target=dst_emb.value)
 
 
-def sigma_values(sv_logits: np.ndarray) -> np.ndarray:
-    """Softmax of the logits: entries in (0, 1) summing to 1."""
-    ps = ad.ParamSet()
-    ps.add("sv_logits", sv_logits)
-    return sigma_from(ps).value
-
-
 def decode_nodes(emb: EmbeddingPair, params: HenclerParams) -> np.ndarray:
     ps = params.to_paramset()
     recon = node_decoder(ps, ad.constant(emb.source), ad.constant(emb.target))
@@ -242,14 +225,8 @@ def similarity_matrix(sf: SimilarityFactor) -> np.ndarray:
 
 def save_checkpoint(params: HenclerParams, path) -> None:
     doc = {
-        "version": 1,
-        "dims": {
-            "d_x": params.dims.d_x,
-            "k_pe": params.dims.k_pe,
-            "hidden": params.dims.hidden,
-            "d_f": params.dims.d_f,
-            "s": params.dims.s,
-        },
+        "version": 2,
+        "dims": asdict(params.dims),
         "tied": params.tied,
         "params": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
@@ -260,8 +237,10 @@ def save_checkpoint(params: HenclerParams, path) -> None:
 
 
 def load_checkpoint(path) -> HenclerParams:
-    """Read a checkpoint; its parameters must match `init_params(dims, tied)`
-    by name and shape, or CheckpointError names the first that does not."""
+    """Read a checkpoint. Its dims must be positive integers, `tied` a
+    boolean, and its parameters finite and equal to `init_params(dims, tied)`
+    in names and shapes; otherwise CheckpointError names the first field
+    that is not."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -269,18 +248,26 @@ def load_checkpoint(path) -> HenclerParams:
             from exc
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: malformed JSON: {exc}") from exc
-    if doc.get("version") != 1:
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != 2:
         raise CheckpointError(
-            f"{path}: unsupported checkpoint version: {doc.get('version')!r}")
+            f"{path}: unsupported checkpoint version: {version!r}")
     try:
         dims = ModelDims(**doc["dims"])
-        tied = bool(doc["tied"])
+        tied = doc["tied"]
         arrays = {name: np.asarray(entry["data"], dtype=np.float64)
                   .reshape(entry["shape"])
                   for name, entry in doc["params"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") \
             from exc
+    for name, value in asdict(dims).items():
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise CheckpointError(f"{path}: dims.{name} must be a positive "
+                                  f"integer, got {value!r}")
+    if not isinstance(tied, bool):
+        raise CheckpointError(f"{path}: tied must be true or false, "
+                              f"got {tied!r}")
     expected = init_params(dims, tied=tied).arrays
     missing = sorted(set(expected) - set(arrays))
     extra = sorted(set(arrays) - set(expected))
@@ -292,4 +279,7 @@ def load_checkpoint(path) -> HenclerParams:
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {arr.shape}, dims "
                 f"require {expected[name].shape}")
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(
+                f"{path}: parameter {name!r} has non-finite values")
     return HenclerParams(dims=dims, tied=tied, arrays=arrays)

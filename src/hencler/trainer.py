@@ -47,7 +47,6 @@ class TrainConfig:
     eval_every: int = 1  # 0 disables metric tracking
     kmeans_restarts: int = 10
     precision: str = "float64"  # "float32" exists for timing runs only
-    train_sigma: bool = False  # joint sigma training collapses the spectrum
 
     def __post_init__(self):
         for name in ("num_clusters", "epochs", "hidden", "d_f", "s", "k_pe",
@@ -57,16 +56,17 @@ class TrainConfig:
                     isinstance(value, bool)
                     or not isinstance(value, (int, np.integer))):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("tie_maps", "train_sigma"):
-            value = getattr(self, name)
-            if not isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{name} must be true or false, got {value!r}")
+        if not isinstance(self.tie_maps, (bool, np.bool_)):
+            raise ValueError(f"tie_maps must be true or false, "
+                             f"got {self.tie_maps!r}")
         if isinstance(self.learning_rate, (bool, np.bool_)) or not isinstance(
                 self.learning_rate, numbers.Real):
             raise ValueError(f"learning_rate must be a number, "
                              f"got {self.learning_rate!r}")
         if self.num_clusters < 1 or self.epochs < 0 or self.learning_rate <= 0:
             raise ValueError("num_clusters, epochs, learning_rate must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         sizes = {"k_pe": self.k_pe, "hidden": self.hidden, "d_f": self.d_f,
                  "kmeans_restarts": self.kmeans_restarts}
         if self.s is not None:
@@ -105,18 +105,15 @@ class RunRecord:
         if self.best_f1 is None or f1_value > self.best_f1:
             self.best_f1, self.best_f1_epoch = f1_value, epoch
 
-    def to_dict(self, include_wall_time: bool = False) -> dict:
-        # Wall time is excluded by default so serialized records stay
-        # byte-identical across same-seed runs.
-        doc = {
+    def to_dict(self) -> dict:
+        # Wall time is left out so serialized records stay byte-identical
+        # across same-seed runs.
+        return {
             "epoch_losses": self.epoch_losses,
             "evals": self.evals,
             "best": {"nmi": self.best_nmi, "nmi_epoch": self.best_nmi_epoch,
                      "f1": self.best_f1, "f1_epoch": self.best_f1_epoch},
         }
-        if include_wall_time:
-            doc["wall_time_s"] = self.wall_time_s
-        return doc
 
 
 @dataclass
@@ -205,7 +202,7 @@ def train(g: AttributedGraph, config: TrainConfig,
     if dtype is np.float32:
         for name in params.arrays:
             params.arrays[name] = params.arrays[name].astype(dtype)
-    ps = params.to_paramset(train_sigma=config.train_sigma)
+    ps = params.to_paramset()
     state = AdamState.for_params(ps)
     sample_rng = np.random.default_rng(sample_seq)
     eval_seed = int(np.random.default_rng(eval_seq).integers(2 ** 31))

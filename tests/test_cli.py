@@ -232,7 +232,7 @@ def test_input_width_mismatch_exits_2(tmp_path, dataset, capsys):
     ("k_pe", 0), ("hidden", 0), ("d_f", 0), ("kmeans_restarts", 0),
     ("s", 0), ("eval_every", -1), ("epochs", 2.5), ("k_pe", True),
     ("num_clusters", 100), ("tie_maps", "false"), ("learning_rate", True),
-    ("directed", "false")])
+    ("directed", "false"), ("seed", -1)])
 def test_non_positive_sizes_exit_2(tmp_path, dataset, capsys, key, value):
     config = write_config(tmp_path, dataset, **{key: value})
     assert main(["train", "--config", str(config)]) == EXIT_CONFIG
@@ -251,17 +251,43 @@ def test_non_positive_sizes_exit_2(tmp_path, dataset, capsys, key, value):
     ["oracle", "--config", "{config}", "--checkpoint", "missing.json"],
     ["export-similarity", "--config", "{config}",
      "--checkpoint", "missing.json"],
+    ["HENCLER_SEED=-1", "train", "--config", "{config}"],
+    ["oracle", "--config", "{config}", "--seed", "-1"],
+    ["oracle", "--synthetic", "blocks", "--seed", "-1"],
+    ["benchmark", "--sizes", "50", "--epochs", "1", "--seed", "-1"],
 ], ids=["repeats-0", "repeats-neg", "sizes-abc", "epochs-neg",
         "block-sizes-abc", "block-sizes-0", "noise-neg",
-        "oracle-missing-checkpoint", "export-missing-checkpoint"])
+        "oracle-missing-checkpoint", "export-missing-checkpoint",
+        "env-seed-neg", "oracle-seed-neg", "blocks-seed-neg",
+        "benchmark-seed-neg"])
 def test_bad_arguments_exit_2_and_write_nothing(tmp_path, dataset,
                                                 monkeypatch, capsys, argv):
     config = write_config(tmp_path, dataset)
     monkeypatch.chdir(tmp_path)  # default output paths land in tmp_path
+    while "=" in argv[0]:  # leading NAME=value words set the environment
+        name, value = argv[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        argv = argv[1:]
     before = sorted(tmp_path.rglob("*"))
     assert main([arg.format(config=config) for arg in argv]) == EXIT_CONFIG
     assert "input error" in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_tracking_without_labels_exits_2_and_writes_nothing(tmp_path,
+                                                             dataset, capsys):
+    config = write_config(tmp_path, dataset)
+    doc = json.loads(config.read_text())
+    del doc["label_path"]
+    config.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+    assert "label_path" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # the oracle needs no labels, whatever eval_every says
+    assert main(["oracle", "--config", str(config),
+                 "--output-dir", str(tmp_path / "oracle")]) == EXIT_OK
+    assert "row_nmi" not in json.loads(
+        (tmp_path / "oracle" / "oracle.json").read_text())
 
 
 def test_benchmark_single_size(tmp_path):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hencler.dual import DualSolution, bicluster, center_dual, center_primal, \
-    eigen_form_check, fenchel_young_check, normalized_similarity, \
+from hencler.dual import DualSolution, _normalized, bicluster, center_dual, \
+    center_primal, eigen_form_check, fenchel_young_check, \
     stationarity_residual
 from hencler.evaluate import nmi
 from hencler.linalg import frobenius_relerr
@@ -103,7 +103,7 @@ def test_normalized_weighting_consistency():
     w1 = 1.0 / sim.sum(axis=1)
     w2 = 1.0 / sim.sum(axis=0)
     direct = np.sqrt(w1)[:, None] * sim * np.sqrt(w2)[None, :]
-    assert frobenius_relerr(normalized_similarity(sim), direct) < 1e-12
+    assert frobenius_relerr(_normalized(sim)[0], direct) < 1e-12
 
 
 def test_normalized_singulars_at_most_one_for_nonneg():

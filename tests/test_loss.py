@@ -9,8 +9,7 @@ from hencler.loss import EPS_DEG, EdgeSample, _build_degrees, \
     _build_edge_rec, _build_node_rec, _build_wksvd, build_total_loss, \
     sample_edges
 from hencler.model import EmbeddingPair, ModelDims, SimilarityFactor, \
-    decode_nodes, init_params, map_features, project, projections, \
-    sigma_values
+    decode_nodes, init_params, map_features, project, projections
 from conftest import tiny_graph
 
 
@@ -27,17 +26,15 @@ def degrees(sf):
     return out_deg.value, in_deg.value
 
 
-def wksvd_value(sf, proj_src, proj_dst, sigma_isqrt):
-    """The wKSVD builder on constant factors; `sigma_isqrt` is the softmax
-    output the trainer feeds it."""
+def wksvd_value(sf, proj_src, proj_dst):
+    """The wKSVD builder on constant factors."""
     ps = ad.ParamSet()
     ps.add("proj_src", proj_src)
     ps.add("proj_dst", proj_dst)
     source, target = ad.constant(sf.source), ad.constant(sf.target)
     src_emb, dst_emb = projections(ps, source, target)
     out_deg, in_deg = _build_degrees(source, target)
-    return float(_build_wksvd(ps, source, target, src_emb, dst_emb,
-                              ad.constant(sigma_isqrt), out_deg,
+    return float(_build_wksvd(ps, source, target, src_emb, dst_emb, out_deg,
                               in_deg).value)
 
 
@@ -74,7 +71,7 @@ def test_degrees_match_materialized_similarity():
 
 def test_wksvd_hand_case_scalar():
     sf = SimilarityFactor(source=np.ones((1, 1)), target=np.ones((1, 1)))
-    value = wksvd_value(sf, np.ones((1, 1)), np.ones((1, 1)), np.ones(1))
+    value = wksvd_value(sf, np.ones((1, 1)), np.ones((1, 1)))
     assert value == pytest.approx(0.0, abs=1e-12)  # -1 - 1 + 1 + 1
 
 
@@ -82,15 +79,16 @@ def test_wksvd_zero_projection_leaves_map_penalty():
     sf = random_factors(6, 4, 1)
     out_deg, in_deg = degrees(sf)
     zeros = np.zeros((4, 2))
-    value = wksvd_value(sf, zeros, zeros, np.full(2, 0.5))
+    value = wksvd_value(sf, zeros, zeros)
     expected = np.sum((sf.source * sf.target).sum(axis=1)
                       / np.sqrt(out_deg * in_deg))
     assert value == pytest.approx(expected, rel=1e-12)
 
 
-def wksvd_bruteforce(sf, proj_src, proj_dst, sigma_isqrt):
-    """Scalar-loop oracle over the materialized similarity matrix; the
-    inverse singular values are sigma_isqrt ** 2."""
+def wksvd_bruteforce(sf, proj_src, proj_dst):
+    """Scalar-loop oracle over the materialized similarity matrix; every
+    inverse singular value is (1/s) ** 2."""
+    sigma_isqrt = np.full(proj_src.shape[1], 1.0 / proj_src.shape[1])
     sim = sf.source @ sf.target.T
     n = sim.shape[0]
     d1 = np.maximum(sim.sum(axis=1), EPS_DEG)
@@ -111,9 +109,8 @@ def test_wksvd_matches_bruteforce_oracle():
         sf = random_factors(8, 4, seed + 10)
         proj_src = rng.normal(size=(4, 3))
         proj_dst = rng.normal(size=(4, 3))
-        sigma_isqrt = rng.uniform(0.2, 1.0, size=3)
-        got = wksvd_value(sf, proj_src, proj_dst, sigma_isqrt)
-        want = wksvd_bruteforce(sf, proj_src, proj_dst, sigma_isqrt)
+        got = wksvd_value(sf, proj_src, proj_dst)
+        want = wksvd_bruteforce(sf, proj_src, proj_dst)
         assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -122,11 +119,55 @@ def test_wksvd_invariant_under_column_permutation():
     sf = random_factors(7, 5, 20)
     proj_src = rng.normal(size=(5, 4))
     proj_dst = rng.normal(size=(5, 4))
-    sigma_isqrt = rng.uniform(0.2, 1.0, size=4)
     perm = rng.permutation(4)
-    assert wksvd_value(sf, proj_src, proj_dst, sigma_isqrt) == pytest.approx(
-        wksvd_value(sf, proj_src[:, perm], proj_dst[:, perm],
-                    sigma_isqrt[perm]), rel=1e-12)
+    assert wksvd_value(sf, proj_src, proj_dst) == pytest.approx(
+        wksvd_value(sf, proj_src[:, perm], proj_dst[:, perm]), rel=1e-12)
+
+
+def softmax_of_zeros_wksvd(ps, source, target, src_emb, dst_emb, out_deg,
+                           in_deg):
+    """The wKSVD objective as written when the spectrum was the softmax of
+    s zero logits, multiplied in as a squared constant vector."""
+    zeros = np.zeros(src_emb.value.shape[1], dtype=src_emb.value.dtype)
+    ex = np.exp(zeros - zeros.max())
+    inv_sigma = ad.square(ad.constant(ex / ex.sum()))
+    var_src = ad.reduce_sum(ad.mul(
+        ad.reduce_sum(ad.mul(ad.square(src_emb), inv_sigma), axis=1),
+        ad.reciprocal(out_deg)))
+    var_dst = ad.reduce_sum(ad.mul(
+        ad.reduce_sum(ad.mul(ad.square(dst_emb), inv_sigma), axis=1),
+        ad.reciprocal(in_deg)))
+    proj_penalty = ad.trace(ad.matmul(ad.transpose(ps["proj_src"]),
+                                      ps["proj_dst"]))
+    map_penalty = ad.reduce_sum(ad.mul(
+        ad.reduce_sum(ad.mul(source, target), axis=1),
+        ad.reciprocal(ad.sqrt(ad.mul(out_deg, in_deg)))))
+    return -var_src - var_dst + proj_penalty + map_penalty
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("s", [1, 5, 6, 7])
+def test_wksvd_fixed_spectrum_matches_softmax_of_zeros(dtype, s):
+    # the fixed 1/s spectrum gives the bits of the softmax it replaced, in
+    # the loss and in every gradient
+    rng = np.random.default_rng(30 + s)
+    ps = ad.ParamSet()
+    for name, shape in (("source", (9, 4)), ("target", (9, 4)),
+                        ("proj_src", (4, s)), ("proj_dst", (4, s))):
+        ps.add(name, rng.uniform(0.1, 1.0, size=shape).astype(dtype))
+    losses = []
+    for builder in (_build_wksvd, softmax_of_zeros_wksvd):
+        source, target = ps["source"], ps["target"]
+        src_emb, dst_emb = projections(ps, source, target)
+        out_deg, in_deg = _build_degrees(source, target)
+        loss = builder(ps, source, target, src_emb, dst_emb, out_deg, in_deg)
+        grads = ad.backward(loss, wrt=ps.trainable().values())
+        losses.append((loss.value, [grads[id(var)] for var in
+                                    ps.trainable().values()]))
+    (got, got_grads), (want, want_grads) = losses
+    assert got.dtype == dtype and got.tobytes() == want.tobytes()
+    for a, b in zip(got_grads, want_grads):
+        assert a.dtype == dtype and a.tobytes() == b.tobytes()
 
 
 def node_rec_oracle(recon, features):
@@ -301,14 +342,13 @@ def test_builder_components_match_public_ops():
     """The builders' losses equal the oracles evaluated on the outputs of
     the plain-array model functions."""
     g, pe, params, x_aug, sample = builder_inputs()
-    parts = build_total_loss(params.to_paramset(train_sigma=True), x_aug,
-                             g.features, sample)
+    parts = build_total_loss(params.to_paramset(), x_aug, g.features,
+                             sample)
 
     sf = map_features(g, pe, params)
     emb = project(sf, params)
     want_wksvd = wksvd_bruteforce(sf, params.arrays["proj_src"],
-                                  params.arrays["proj_dst"],
-                                  sigma_values(params.arrays["sv_logits"]))
+                                  params.arrays["proj_dst"])
     assert float(parts["wksvd"].value) == pytest.approx(want_wksvd, rel=1e-10)
     want_node = node_rec_oracle(decode_nodes(emb, params), g.features)
     assert float(parts["node_rec"].value) == pytest.approx(want_node,
@@ -325,32 +365,13 @@ def test_float32_loss_gives_float32_gradients():
     g, _, params, x_aug, sample = builder_inputs()
     for name in params.arrays:
         params.arrays[name] = params.arrays[name].astype(np.float32)
-    ps = params.to_paramset(train_sigma=True)
+    ps = params.to_paramset()
     parts = build_total_loss(ps, x_aug.astype(np.float32),
                              g.features.astype(np.float32), sample)
     assert parts["total"].value.dtype == np.float32
     grads = ad.backward(parts["total"], wrt=ps.trainable().values())
     for name, var in ps.trainable().items():
         assert grads[id(var)].dtype == np.float32, name
-
-
-def test_sigma_path_gradients_match_finite_differences():
-    # the softmax spectrum parametrization composed into the full objective
-    g = tiny_graph(num_nodes=8, d_x=3, seed=21)
-    pe = random_walk_pe(g, 2)
-    dims = ModelDims(d_x=3, k_pe=2, hidden=6, d_f=5, s=4)
-    params = init_params(dims, seed=22)
-    rng = np.random.default_rng(23)
-    params.arrays["sv_logits"] = rng.normal(size=4)
-    ps = params.to_paramset(train_sigma=True)
-    x_aug = np.hstack([g.features, pe.values])
-    sample = sample_edges(g, seed=24)
-
-    def builder(p):
-        return build_total_loss(p, x_aug, g.features, sample)["total"]
-
-    assert ad.grad_check(builder, ps, step=1e-5, coords_per_param=20,
-                         seed=0) < 1e-4
 
 
 def test_builder_never_materializes_square_matrix():

@@ -6,7 +6,7 @@ import pytest
 from hencler.graphio import PositionalEncoding, random_walk_pe
 from hencler.model import CheckpointError, EmbeddingPair, HenclerParams, \
     ModelDims, decode_edge, decode_nodes, init_params, load_checkpoint, \
-    map_features, project, save_checkpoint, sigma_values, similarity_matrix
+    map_features, project, save_checkpoint, similarity_matrix
 from conftest import tiny_graph
 
 LEAKY = 0.01
@@ -35,8 +35,7 @@ def test_zero_weights_give_constant_rows():
     g = tiny_graph(num_nodes=5, d_x=3, seed=1)
     pe, params = make_model(g)
     for name in params.arrays:
-        if name != "sv_logits":
-            params.arrays[name] = np.zeros_like(params.arrays[name])
+        params.arrays[name] = np.zeros_like(params.arrays[name])
     sf = map_features(g, pe, params)
     # all-zero network: batchnorm emits the (zero) shift, softplus makes it ln 2
     np.testing.assert_allclose(sf.source, np.log(2.0), atol=1e-12)
@@ -103,19 +102,6 @@ def test_project_trivial_and_oracle():
                                atol=1e-13)
     np.testing.assert_allclose(emb.target, sf.target @ params.arrays["proj_dst"],
                                atol=1e-13)
-
-
-def test_sigma_values():
-    np.testing.assert_allclose(sigma_values(np.zeros(4)), np.full(4, 0.25))
-    saturated = sigma_values(np.array([1e3, 0.0, 0.0]))
-    assert saturated[0] > 0.999
-    rng = np.random.default_rng(9)
-    logits = rng.normal(size=6)
-    expected = np.exp(logits) / np.exp(logits).sum()
-    np.testing.assert_allclose(sigma_values(logits), expected, atol=1e-12)
-    out = sigma_values(logits)
-    assert np.all(out > 0) and np.all(out < 1)
-    assert out.sum() == pytest.approx(1.0)
 
 
 def test_decode_nodes_zero_weights_and_oracle():
@@ -220,17 +206,27 @@ def test_checkpoint_rejects_params_that_do_not_match_dims(tmp_path):
     truncated = json.loads(json.dumps(good))
     truncated["params"]["proj_src"]["data"].pop()
     cases.append((truncated, "malformed checkpoint"))
+    for key, value in (("hidden", 10.0), ("s", True), ("d_f", -7),
+                       ("k_pe", 0)):
+        bad_dim = json.loads(json.dumps(good))
+        bad_dim["dims"][key] = value
+        cases.append((bad_dim, f"dims.{key} must be a positive integer"))
+    string_tied = json.loads(json.dumps(good))
+    string_tied["tied"] = "false"
+    cases.append((string_tied, "tied must be true or false"))
+    for value in (float("nan"), float("inf")):
+        non_finite = json.loads(json.dumps(good))
+        non_finite["params"]["proj_src"]["data"][3] = value
+        cases.append((non_finite, "'proj_src' has non-finite values"))
+    # the format before the spectrum was fixed: version 1, with sv_logits
+    old_format = json.loads(json.dumps(good))
+    old_format["version"] = 1
+    old_format["params"]["sv_logits"] = {"shape": [4], "data": [0.0] * 4}
+    cases.append((old_format, "unsupported checkpoint version: 1"))
     for doc, message in cases:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(path)
-    path.write_text('{"version": 1,')
+    path.write_text('{"version": 2,')
     with pytest.raises(CheckpointError, match="malformed JSON"):
         load_checkpoint(path)
-
-
-def test_paramset_sigma_trainability_flag():
-    g = tiny_graph(num_nodes=5, d_x=3, seed=18)
-    _, params = make_model(g)
-    assert "sv_logits" not in params.to_paramset().trainable()
-    assert "sv_logits" in params.to_paramset(train_sigma=True).trainable()
