@@ -8,6 +8,7 @@ configured seed for every command.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -22,8 +23,8 @@ import numpy as np
 
 from .dual import bicluster, eigen_form_check, stationarity_residual
 from .evaluate import assign_clusters, nmi
-from .graphio import AttributedGraph, GraphFormatError, load_graph, \
-    random_walk_pe
+from .graphio import AttributedGraph, GraphFormatError, \
+    PositionalEncoding, load_graph, random_walk_pe
 from .model import CheckpointError, ModelDims, init_params, \
     load_checkpoint, map_features, project, save_checkpoint, similarity_matrix
 from .synthetic import planted_block_similarity, random_sparse_graph
@@ -37,6 +38,7 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 
 DENSE_GUARD_NODES = 5000  # materializing S above this needs an explicit override
+PE_FORMAT = b"hencler-pe-exact-1"  # change when random_walk_pe's values change
 
 _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 _CONFIG_KEYS = _TRAIN_KEYS | {"edge_path", "feature_path", "label_path",
@@ -113,6 +115,55 @@ def _train_config(doc: dict, g: AttributedGraph, overrides: dict) -> TrainConfig
     return config
 
 
+def _pe_path(directory: Path, g: AttributedGraph, k_pe: int) -> Path:
+    """`pe-<sha256>.npy` in `directory`, keyed by everything the walk
+    operators depend on: the node count, `k_pe` and the edge list. The
+    `directed` flag is not part of the key, because an undirected graph's
+    edges already hold both orientations."""
+    digest = hashlib.sha256(PE_FORMAT)
+    digest.update(np.array([g.num_nodes, k_pe], dtype=np.int64).tobytes())
+    digest.update(np.ascontiguousarray(g.edges, dtype=np.int64).tobytes())
+    return directory / f"pe-{digest.hexdigest()}.npy"
+
+
+def _read_pe(path: Path, num_nodes: int, k_pe: int) -> PositionalEncoding:
+    try:
+        with open(path, "rb") as handle:
+            values = np.lib.format.read_array(handle, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise CheckpointError(f"{path}: unreadable positional encoding "
+                              f"({exc})") from exc
+    if values.dtype != np.float64 or values.shape != (num_nodes, k_pe):
+        raise CheckpointError(f"{path}: expected a float64 array of shape "
+                              f"{(num_nodes, k_pe)}, got {values.dtype} "
+                              f"{values.shape}")
+    if not np.all((values >= 0.0) & (values <= 1.0)):  # False for NaN
+        raise CheckpointError(f"{path}: positional encoding values must be "
+                              f"finite and in [0, 1]")
+    return PositionalEncoding(values=values, num_steps=k_pe)
+
+
+def _positional_encoding(g: AttributedGraph, k_pe: int, directory: Path,
+                         store: bool = False) -> PositionalEncoding:
+    """The PE of `g`, read from `directory` when a file for this graph and
+    `k_pe` is there, else computed and, with `store`, written there.
+
+    A file that is there but fails validation is an input error, never
+    silently recomputed. The write goes to a temporary name first, so a
+    crashed write never leaves a file under the final name.
+    """
+    path = _pe_path(directory, g, k_pe)
+    if path.is_file():
+        return _read_pe(path, g.num_nodes, k_pe)
+    pe = random_walk_pe(g, k_pe)
+    if store:
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        with open(tmp, "wb") as handle:
+            np.save(handle, pe.values, allow_pickle=False)
+        os.replace(tmp, path)
+    return pe
+
+
 def _sizes(text: str, option: str) -> list[int]:
     """Parse a comma-separated list of integers that are all >= 1."""
     try:
@@ -158,7 +209,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.output_dir or doc.get("output_dir", "hencler_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    pe = random_walk_pe(g, config.k_pe)
+    pe = _positional_encoding(g, config.k_pe, out_dir, store=True)
     seeds = [base_seed + i for i in range(args.repeats)]
     configs = [TrainConfig(**{**asdict(config), "seed": s}) for s in seeds]
     if args.parallel and args.repeats > 1:
@@ -227,14 +278,16 @@ def cmd_oracle(args) -> int:
     doc = load_config(args.config)
     g = _load_dataset(doc)
     config = _train_config(doc, g, {})
-    pe = random_walk_pe(g, config.k_pe)
     if args.checkpoint:
         params = load_checkpoint(args.checkpoint)
+        pe = _positional_encoding(g, config.k_pe,
+                                  Path(args.checkpoint).parent)
     else:
         dims = ModelDims(d_x=g.feature_dim, k_pe=config.k_pe,
                          hidden=config.hidden, d_f=config.d_f,
                          s=config.latent_dim)
         params = init_params(dims, seed=seed, tied=config.tie_maps)
+        pe = random_walk_pe(g, config.k_pe)
     sf = map_features(g, pe, params)
     rows, cols, solution = bicluster(sf, k=config.num_clusters, seed=seed,
                                      restarts=config.kmeans_restarts)
@@ -338,8 +391,8 @@ def cmd_export_similarity(args) -> int:
             f"{g.num_nodes} nodes exceeds the dense-similarity guard "
             f"({args.max_nodes}); pass --max-nodes to override")
     config = _train_config(doc, g, {})
-    pe = random_walk_pe(g, config.k_pe)
     params = load_checkpoint(args.checkpoint)
+    pe = _positional_encoding(g, config.k_pe, Path(args.checkpoint).parent)
     sim = similarity_matrix(map_features(g, pe, params))
     if g.labels is not None:
         order = np.argsort(g.labels, kind="stable")

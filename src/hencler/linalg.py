@@ -53,8 +53,14 @@ def _pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
         total = dist_sq.sum()
         if total <= 0.0:
             idx = int(np.argmin(chosen))  # first unchosen index
+        elif not np.isfinite(total):
+            raise ValueError("kmeans: non-finite distances between points")
         else:
-            idx = int(rng.choice(n, p=dist_sq / total))
+            # rng.choice(n, p=dist_sq / total) without its checks of p: the
+            # same cdf, the same one draw, the same index.
+            cdf = np.cumsum(dist_sq / total)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         centers[j] = points[idx]
         chosen[idx] = True
         dist_sq = np.minimum(dist_sq, np.sum((points - centers[j]) ** 2, axis=1))
@@ -87,6 +93,18 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300
     # weights of any A restarts are the contiguous prefix [:, :A * n].
     coords = np.tile(points.T, (1, restarts))
 
+    def nearest(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Index and value of the smallest of the k rows of d (..., k, n),
+        ties to the lowest index: `argmin` and `min` over axis -2, which
+        numpy runs row by row on a non-last axis."""
+        low = d[..., 0, :].copy()
+        idx = np.zeros(low.shape, dtype=np.intp)
+        for j in range(1, k):
+            row = d[..., j, :]
+            idx[row < low] = j
+            np.minimum(low, row, out=low)
+        return idx, low
+
     def sq_dists(c: np.ndarray) -> np.ndarray:
         """Squared distances (A, k, n) to the centers (A, k, d)."""
         d = norms + np.sum(c * c, axis=2)[:, :, None]
@@ -101,7 +119,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300
     rows = np.arange(n)
     for step in range(max_iter):
         d = sq_dists(centers)
-        new_labels = np.argmin(d, axis=1)  # ties -> lowest cluster index
+        new_labels, low = nearest(d)
         bins = (np.arange(active.size)[:, None] * k + new_labels).ravel()
         counts = np.bincount(bins, minlength=active.size * k).reshape(-1, k)
         # Re-seed empty clusters to the farthest point, one at a time.
@@ -110,8 +128,8 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300
                 far = int(np.argmax(d[a, new_labels[a], rows]))
                 centers[a, empty] = points[far]
                 d[a] = sq_dists(centers[a:a + 1])[0]
-                new_labels[a] = np.argmin(d[a], axis=0)
-        current = np.min(d, axis=1).sum(axis=1)
+                new_labels[a], low[a] = nearest(d[a])
+        current = low.sum(axis=1)
         if step and np.any(current > wcss[active] + 1e-9 * np.maximum(
                 1.0, wcss[active])):
             raise AssertionError("kmeans objective increased across iterations")

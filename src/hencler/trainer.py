@@ -6,6 +6,7 @@ forward; only a tracked last epoch needs a forward of its own.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -65,6 +66,9 @@ class TrainConfig:
                              f"got {self.learning_rate!r}")
         if self.num_clusters < 1 or self.epochs < 0 or self.learning_rate <= 0:
             raise ValueError("num_clusters, epochs, learning_rate must be positive")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, "
+                             f"got {self.learning_rate!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         sizes = {"k_pe": self.k_pe, "hidden": self.hidden, "d_f": self.d_f,

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from hencler import cli
 from hencler.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, main, run_benchmark
-from hencler.graphio import load_graph
+from hencler.graphio import load_graph, random_walk_pe
 from hencler.synthetic import heterophilous_blobs, write_graph_tsv
 
 
@@ -232,6 +233,7 @@ def test_input_width_mismatch_exits_2(tmp_path, dataset, capsys):
     ("k_pe", 0), ("hidden", 0), ("d_f", 0), ("kmeans_restarts", 0),
     ("s", 0), ("eval_every", -1), ("epochs", 2.5), ("k_pe", True),
     ("num_clusters", 100), ("tie_maps", "false"), ("learning_rate", True),
+    ("learning_rate", float("nan")), ("learning_rate", float("inf")),
     ("directed", "false"), ("seed", -1)])
 def test_non_positive_sizes_exit_2(tmp_path, dataset, capsys, key, value):
     config = write_config(tmp_path, dataset, **{key: value})
@@ -383,3 +385,132 @@ def test_train_parallel_matches_sequential(tmp_path, dataset):
     sequential = (tmp_path / "out" / "metrics.json").read_text()
     main(["train", "--config", str(config), "--repeats", "2", "--parallel"])
     assert (tmp_path / "out" / "metrics.json").read_text() == sequential
+
+
+TRAIN_ARTIFACTS = ("metrics.json", "assignment.csv", "embeddings.csv",
+                   "checkpoint.json")
+
+
+def pe_files(directory):
+    return sorted(directory.glob("pe-*.npy"))
+
+
+def count_pe_calls(monkeypatch):
+    """Record the k of every PE the cli computes instead of reading."""
+    calls = []
+
+    def counted(g, k_pe):
+        calls.append(k_pe)
+        return random_walk_pe(g, k_pe)
+
+    monkeypatch.setattr(cli, "random_walk_pe", counted)
+    return calls
+
+
+def test_train_stores_the_pe_once_and_reuses_it(tmp_path, dataset,
+                                                monkeypatch):
+    _, edge_path, feat_path, label_path = dataset
+    config = write_config(tmp_path, dataset)
+    calls = count_pe_calls(monkeypatch)
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    out = tmp_path / "out"
+    (path,) = pe_files(out)
+    g = load_graph(edge_path, feat_path, label_path, directed=False)
+    assert np.array_equal(np.load(path), random_walk_pe(g, 3).values)
+    assert calls == [3]
+    stored = path.read_bytes()
+    first = {name: (out / name).read_bytes() for name in TRAIN_ARTIFACTS}
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    assert calls == [3]  # read, not computed
+    assert pe_files(out) == [path] and path.read_bytes() == stored
+    for name, blob in first.items():
+        assert (out / name).read_bytes() == blob, name
+    # The same edges loaded as directed: the key holds no directed flag.
+    directed = write_config(tmp_path, dataset, directed=True)
+    assert main(["train", "--config", str(directed)]) == EXIT_OK
+    assert calls == [3] and pe_files(out) == [path]
+
+
+def test_pe_key_changes_with_edges_and_k_pe(tmp_path, dataset, monkeypatch):
+    _, edge_path, _, _ = dataset
+    calls = count_pe_calls(monkeypatch)
+    config = write_config(tmp_path, dataset)
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    config = write_config(tmp_path, dataset, k_pe=4)
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    assert len(pe_files(tmp_path / "out")) == 2
+    lines = edge_path.read_text().splitlines(keepends=True)
+    u, v = lines[-1].split()
+    dropped = {f"{u}\t{v}\n", f"{v}\t{u}\n"}  # both orientations
+    edge_path.write_text("".join(x for x in lines if x not in dropped))
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    assert len(pe_files(tmp_path / "out")) == 3
+    assert calls == [3, 4, 4]
+
+
+def test_oracle_and_export_read_the_pe_beside_the_checkpoint(
+        tmp_path, dataset, monkeypatch):
+    """Both commands give the same bytes whether the stored PE is there or
+    deleted, and write nothing into the checkpoint's directory."""
+    config = write_config(tmp_path, dataset)
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    ckpt_dir = tmp_path / "out"
+    checkpoint = str(ckpt_dir / "checkpoint.json")
+    calls = count_pe_calls(monkeypatch)
+
+    def run_both(tag):
+        oracle_dir = tmp_path / f"oracle-{tag}"
+        sim = tmp_path / f"sim-{tag}.csv"
+        assert main(["oracle", "--config", str(config), "--checkpoint",
+                     checkpoint, "--output-dir", str(oracle_dir)]) == EXIT_OK
+        assert main(["export-similarity", "--config", str(config),
+                     "--checkpoint", checkpoint,
+                     "--output", str(sim)]) == EXIT_OK
+        return [sim.read_bytes()] + [
+            (oracle_dir / name).read_bytes()
+            for name in ("oracle.json", "row_clusters.csv", "col_clusters.csv")]
+
+    listing = sorted(ckpt_dir.iterdir())
+    stored = run_both("stored")
+    assert calls == []
+    assert sorted(ckpt_dir.iterdir()) == listing
+    (path,) = pe_files(ckpt_dir)
+    path.unlink()
+    listing = sorted(ckpt_dir.iterdir())
+    assert run_both("computed") == stored
+    assert calls == [3, 3]
+    assert sorted(ckpt_dir.iterdir()) == listing
+
+
+@pytest.mark.parametrize("fault", ["shape", "dtype", "nan", "above-one",
+                                   "truncated"])
+def test_bad_stored_pe_exits_2_and_names_the_file(tmp_path, dataset, capsys,
+                                                  fault):
+    config = write_config(tmp_path, dataset)
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    out = tmp_path / "out"
+    (path,) = pe_files(out)
+    values = np.load(path)
+    if fault == "truncated":
+        path.write_bytes(path.read_bytes()[:-8])
+    else:
+        if fault == "shape":
+            values = values[:, :2]
+        elif fault == "dtype":
+            values = values.astype(np.float32)
+        else:
+            values[3, 1] = np.nan if fault == "nan" else 1.0 + 1e-12
+        np.save(path, values)
+    listing = sorted(out.iterdir())
+    capsys.readouterr()
+    checkpoint = str(out / "checkpoint.json")
+    for command in (["train"],
+                    ["oracle", "--checkpoint", checkpoint,
+                     "--output-dir", str(tmp_path / "oracle")],
+                    ["export-similarity", "--checkpoint", checkpoint,
+                     "--output", str(tmp_path / "sim.csv")]):
+        assert main(command + ["--config", str(config)]) == EXIT_CONFIG
+        assert path.name in capsys.readouterr().err, command[0]
+    assert sorted(out.iterdir()) == listing
+    assert not (tmp_path / "oracle").exists()
+    assert not (tmp_path / "sim.csv").exists()

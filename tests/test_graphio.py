@@ -1,6 +1,10 @@
+import os
+import sys
+
 import numpy as np
 import pytest
 
+from hencler import graphio
 from hencler.graphio import AttributedGraph, GraphFormatError, \
     _walk_operators, edge_homophily, load_graph, random_walk_pe, symmetrize
 
@@ -228,3 +232,44 @@ def test_pe_matches_dense_matrix_powers(rng):
                 assert np.all(pe.values >= 0.0)
                 if name == "bipartite":
                     assert np.all(pe.values[:, 0::2] == 0.0)
+
+
+def test_pe_bits_do_not_depend_on_thread_count(rng, monkeypatch):
+    """One thread per usable core, capped at the number of blocks; the
+    values are the same bits on one core and on four, with threads switching
+    as often as the interpreter allows. The node floor for threads is
+    lifted, so these small graphs run threaded."""
+    graphs = pe_exactness_graphs(rng)
+    runs = {}
+    monkeypatch.setattr(graphio, "PE_THREADS_MIN_NODES", 0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cores in (1, 4):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cores=cores: set(range(cores)))
+            assert graphio._num_workers(13, 5) == min(cores, 5)
+            assert graphio._num_workers(13, 1) == 1
+            runs[cores] = {(name, block_size): random_walk_pe(g, 16,
+                                                              block_size)
+                           for name, g in graphs.items()
+                           for block_size in (3, 5, 512)}
+    finally:
+        sys.setswitchinterval(interval)
+    for key, pe in runs[1].items():
+        assert np.array_equal(pe.values, runs[4][key].values), key
+
+
+def test_pe_workers_by_graph_size_and_cores(monkeypatch):
+    """One thread below the node floor; above it, one per core, counted by
+    affinity or, where that call is missing, by os.cpu_count()."""
+    floor = graphio.PE_THREADS_MIN_NODES
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert graphio._num_workers(floor - 1, 100) == 1
+    assert graphio._num_workers(floor, 100) == 4
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert graphio._num_workers(floor, 10) == 3
+    assert graphio._num_workers(floor, 2) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert graphio._num_workers(floor, 10) == 1

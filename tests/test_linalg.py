@@ -79,6 +79,11 @@ def kmeans_cases():
                        rng.normal(size=(10, 3))])
     yield blobs, 9, 10, 4
     yield np.zeros((6, 2)), 3, 3, 5  # every point the same
+    # Small integer points: squared distances are exact, so points lie at
+    # exactly the same distance from two centers, and kmeans++ draws from
+    # distributions with zeros.
+    yield rng.integers(-2, 3, size=(60, 2)).astype(np.float64), 4, 8, 6
+    yield rng.integers(0, 2, size=(40, 3)).astype(np.float64), 5, 6, 7
 
 
 def jacobi_svd(matrix, sweeps=60, tol=1e-14):
@@ -236,6 +241,18 @@ def lloyd_cases():
     starts[2, [1, 3]] = [[60.0, 0, 0], [0, -60.0, 0]]  # two, re-seeded in turn
     starts[3, 4] = 70.0
     yield points, starts
+    # Exact ties: integer points and centers, with the points of the line
+    # x = 0 as far from (-1, 0) as from (1, 0), and every grid point as far
+    # from (-1, 1) as from (1, 1) or (-1, -1) in some pair.
+    grid = np.stack(np.meshgrid(np.arange(-3.0, 4.0), np.arange(-3.0, 4.0)),
+                    axis=-1).reshape(-1, 2)
+    yield grid, np.array([[[-1.0, 0.0], [1.0, 0.0]],
+                          [[1.0, 0.0], [-1.0, 0.0]],
+                          [[-1.0, 1.0], [1.0, 1.0]],
+                          [[-1.0, -1.0], [1.0, 1.0]]])
+    yield grid, np.array([[[-1.0, 1.0], [1.0, 1.0], [-1.0, -1.0],
+                           [1.0, -1.0]],
+                          [[0.0, 0.0], [0.0, 2.0], [2.0, 0.0], [0.0, -2.0]]])
 
 
 def test_batched_lloyd_matches_each_restart_alone():
@@ -256,6 +273,56 @@ def test_batched_lloyd_matches_each_restart_alone():
                        for h in history[len(want_history):])
             lengths.append(len(want_history))
         assert len(history) == max(lengths)
+
+
+def pp_init_reference(points, k, rng):
+    """kmeans++ seeding with `rng.choice`, as `_pp_init` drew before it
+    inlined the draw."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    chosen = np.zeros(n, dtype=bool)
+    first = int(rng.integers(n))
+    centers[0] = points[first]
+    chosen[first] = True
+    dist_sq = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = dist_sq.sum()
+        if total <= 0.0:
+            idx = int(np.argmin(chosen))
+        else:
+            idx = int(rng.choice(n, p=dist_sq / total))
+        centers[j] = points[idx]
+        chosen[idx] = True
+        dist_sq = np.minimum(dist_sq, np.sum((points - centers[j]) ** 2,
+                                             axis=1))
+    return centers
+
+
+def test_pp_init_draws_as_rng_choice():
+    """The inline inverse-CDF draw picks the centers `rng.choice` picks and
+    leaves the generator in the same state, over 2000 seedings whose
+    distributions hold zeros (duplicated points, chosen centers)."""
+    rng = np.random.default_rng(8)
+    for trial in range(2000):
+        n = int(rng.integers(1, 40))
+        dim = int(rng.integers(1, 4))
+        if trial % 2:
+            points = rng.integers(0, 3, size=(n, dim)).astype(np.float64)
+        else:
+            points = rng.normal(size=(n, dim)) * rng.uniform(0.01, 100.0)
+        k = int(rng.integers(1, n + 1))
+        seed = int(rng.integers(1 << 32))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        np.testing.assert_array_equal(_pp_init(points, k, ours),
+                                      pp_init_reference(points, k, theirs))
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_pp_init_rejects_non_finite_distances():
+    points = np.array([[0.0, 0.0], [1.0, np.nan], [2.0, 0.0]])
+    for seeding in (_pp_init, pp_init_reference):
+        with pytest.raises(ValueError):
+            seeding(points, 2, np.random.default_rng(0))
 
 
 def test_kmeans_validates_k():

@@ -113,13 +113,16 @@ def test_node_reconstruction_learns():
 
 def test_divergence_reports_epoch():
     """A NaN learning rate turns the parameters NaN in the first step, so the
-    loss first goes non-finite at epoch 1, whether tracking is on or not."""
+    loss first goes non-finite at epoch 1, whether tracking is on or not.
+    TrainConfig rejects a NaN learning rate, so it is set after
+    construction."""
     g = heterophilous_blobs(num_nodes=16, num_classes=2, avg_degree=4,
                             feature_dim=4, seed=6)
     for eval_every in (1, 0):
+        config = small_config(eval_every=eval_every)
+        config.learning_rate = np.nan
         with pytest.raises(TrainingDiverged, match="epoch 1:"):
-            train(g, small_config(learning_rate=np.nan,
-                                  eval_every=eval_every))
+            train(g, config)
 
 
 @pytest.mark.parametrize("overrides", [
