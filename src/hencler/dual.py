@@ -119,26 +119,21 @@ def _normalized(s):
     return _scaled(s, 1.0 / np.sqrt(d1), 1.0 / np.sqrt(d2)), d1, d2
 
 
-def bicluster(similarity, k: int, seed: int = 0, restarts: int = 10,
-              drop_leading: bool = False
+def bicluster(similarity, k: int, seed: int = 0, restarts: int = 10
               ) -> tuple[np.ndarray, np.ndarray, DualSolution]:
     """Spectral biclustering of an asymmetric similarity.
 
     `similarity` is a `SimilarityFactor` or a dense matrix. SVD of the
     degree-normalized similarity gives the embeddings; kmeans on the
     recovered row/column embeddings yields the two assignments. The leading
-    singular pair is kept by default; `drop_leading` discards it (classical
-    spectral-clustering convention). A factored similarity supports at most
-    d_f singular pairs; asking for more raises ValueError.
+    singular pair is kept. A factored similarity supports at most d_f
+    singular pairs; asking for more raises ValueError.
     """
     s = _float64(similarity)
     if k < 1:
         raise ValueError("k must be >= 1")
     normalized, d1, d2 = _normalized(s)
-    rank = k + 1 if drop_leading else k
-    left, sing, right = _top_svd(normalized, rank)
-    if drop_leading:
-        left, sing, right = left[:, 1:], sing[1:], right[:, 1:]
+    left, sing, right = _top_svd(normalized, k)
     # e_i = sigma * h_i / sqrt(w1_i) with w1 = 1/d1, so the factor is sqrt(d1_i)
     src_emb = np.sqrt(d1)[:, None] * left * sing[None, :]
     dst_emb = np.sqrt(d2)[:, None] * right * sing[None, :]

@@ -69,30 +69,11 @@ class Var:
     def shape(self):
         return self.value.shape
 
-    @property
-    def T(self):
-        return transpose(self)
-
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __neg__(self):
         return scale(self, -1.0)
@@ -118,12 +99,6 @@ class ParamSet:
 
     def __getitem__(self, name: str) -> Var:
         return self._vars[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._vars
-
-    def names(self) -> list[str]:
-        return list(self._vars)
 
     def trainable(self) -> dict[str, Var]:
         return dict(self._vars)

@@ -1,8 +1,8 @@
 """Dense matrix kernels: thin SVD, seeded kmeans++, and small utilities.
 
-Everything here runs in float64; the training path may downcast, the
-oracle path must not. kmeans runs all its restarts as one batched Lloyd
-iteration, and each restart gets the labels it would get on its own.
+Everything here runs in float64. kmeans runs all its restarts as one
+batched Lloyd iteration, and each restart gets the labels it would get on
+its own.
 """
 
 from __future__ import annotations

@@ -98,10 +98,9 @@ def _build_wksvd(ps, source, target, src_emb, dst_emb, out_deg,
     # The inverse square roots of the singular values are fixed at 1/s, a
     # uniform spectrum with trace 1, so the variance terms are weighted by
     # (1/s)^2. Learning that spectrum jointly collapses it onto a single
-    # direction. The constant is rounded in the embeddings' dtype.
-    dtype = src_emb.value.dtype
-    isqrt = dtype.type(1) / dtype.type(src_emb.value.shape[1])
-    inv_sigma = float(isqrt * isqrt)
+    # direction.
+    isqrt = 1.0 / src_emb.value.shape[1]
+    inv_sigma = isqrt * isqrt
     var_src = ad.reduce_sum(ad.mul(
         ad.reduce_sum(ad.scale(ad.square(src_emb), inv_sigma), axis=1),
         ad.reciprocal(out_deg)))
@@ -124,9 +123,8 @@ def _build_node_rec(recon: ad.Var, features: np.ndarray) -> ad.Var:
 
 def _build_edge_rec(ps, src_emb, dst_emb, sample: EdgeSample) -> ad.Var:
     pairs = np.concatenate([sample.positives, sample.negatives], axis=0)
-    dtype = src_emb.value.dtype
-    labels = np.concatenate([np.ones(len(sample.positives), dtype=dtype),
-                             np.zeros(len(sample.negatives), dtype=dtype)])
+    labels = np.concatenate([np.ones(len(sample.positives)),
+                             np.zeros(len(sample.negatives))])
     logits = edge_logits(ps, src_emb, dst_emb, pairs[:, 0], pairs[:, 1])
     # Exact log-space BCE: log(sigmoid(x)) is finite for all finite logits,
     # so no probability clamp is needed and gradients stay alive on

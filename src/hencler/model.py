@@ -219,7 +219,7 @@ def decode_edge(emb: EmbeddingPair, params: HenclerParams,
 
 
 def similarity_matrix(sf: SimilarityFactor) -> np.ndarray:
-    """Materialize S = source @ target.T. Oracle/export use only; O(n^2)."""
+    """Materialize S = source @ target.T for `export-similarity`; O(n^2)."""
     return sf.source @ sf.target.T
 
 

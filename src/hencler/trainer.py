@@ -18,8 +18,8 @@ from .evaluate import nmi as nmi_score, pairwise_f1
 from .graphio import AttributedGraph, PositionalEncoding, random_walk_pe
 from .linalg import kmeans
 from .loss import build_total_loss, sample_edges
-from .model import HenclerParams, ModelDims, feature_maps, init_params, \
-    projections
+from .model import HenclerParams, ModelDims, _augmented_input, \
+    feature_maps, init_params, projections
 
 __all__ = ["TrainConfig", "RunRecord", "TrainingDiverged", "AdamState",
            "optimizer_step", "train"]
@@ -47,7 +47,6 @@ class TrainConfig:
     tie_maps: bool = False
     eval_every: int = 1  # 0 disables metric tracking
     kmeans_restarts: int = 10
-    precision: str = "float64"  # "float32" exists for timing runs only
 
     def __post_init__(self):
         for name in ("num_clusters", "epochs", "hidden", "d_f", "s", "k_pe",
@@ -82,8 +81,6 @@ class TrainConfig:
             raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
         if self.loss not in ("all", "wksvd", "reconstr"):
             raise ValueError(f"unknown loss mode {self.loss!r}")
-        if self.precision not in ("float64", "float32"):
-            raise ValueError(f"unknown precision {self.precision!r}")
 
     @property
     def latent_dim(self) -> int:
@@ -196,16 +193,11 @@ def train(g: AttributedGraph, config: TrainConfig,
     dims = ModelDims(d_x=g.feature_dim, k_pe=pe.values.shape[1],
                      hidden=config.hidden, d_f=config.d_f,
                      s=config.latent_dim)
-    dtype = np.float32 if config.precision == "float32" else np.float64
-    x_aug = np.hstack([g.features, pe.values]).astype(dtype)
-    features = g.features.astype(dtype)
+    x_aug = _augmented_input(g, pe)
 
     seed_seq = np.random.SeedSequence(config.seed)
     init_seq, sample_seq, eval_seq = seed_seq.spawn(3)
     params = init_params(dims, seed=init_seq, tied=config.tie_maps)
-    if dtype is np.float32:
-        for name in params.arrays:
-            params.arrays[name] = params.arrays[name].astype(dtype)
     ps = params.to_paramset()
     state = AdamState.for_params(ps)
     sample_rng = np.random.default_rng(sample_seq)
@@ -215,7 +207,7 @@ def train(g: AttributedGraph, config: TrainConfig,
     needs_edges = config.loss in ("all", "reconstr")
 
     def track(epoch: int, src_emb: np.ndarray, dst_emb: np.ndarray) -> None:
-        points = np.hstack([src_emb, dst_emb]).astype(np.float64)
+        points = np.hstack([src_emb, dst_emb])
         assignment = kmeans(points, config.num_clusters,
                             restarts=config.kmeans_restarts, seed=eval_seed)
         record.track(epoch, nmi_score(assignment, g.labels),
@@ -229,7 +221,7 @@ def train(g: AttributedGraph, config: TrainConfig,
         sample = (sample_edges(g, int(sample_rng.integers(2 ** 63)))
                   if needs_edges else None)
         try:
-            parts = build_total_loss(ps, x_aug, features, sample,
+            parts = build_total_loss(ps, x_aug, g.features, sample,
                                      tied=config.tie_maps, mode=config.loss)
             if pending is not None:
                 track(pending, *(emb.value for emb in parts.embeddings))

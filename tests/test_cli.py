@@ -98,8 +98,9 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 
 
 def test_unknown_key_rejected(tmp_path, dataset):
-    config = write_config(tmp_path, dataset, bogus_knob=3)
-    assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+    for extra in ({"bogus_knob": 3}, {"precision": "float64"}):
+        config = write_config(tmp_path, dataset, **extra)
+        assert main(["train", "--config", str(config)]) == EXIT_CONFIG
 
 
 def test_missing_dataset_exits_config(tmp_path):
@@ -139,7 +140,10 @@ def test_env_seed_override(tmp_path, dataset, monkeypatch):
     baseline = (tmp_path / "out" / "metrics.json").read_text()
     monkeypatch.setenv("HENCLER_SEED", "123")
     main(["train", "--config", str(config)])
-    assert (tmp_path / "out" / "metrics.json").read_text() != baseline
+    overridden = (tmp_path / "out" / "metrics.json").read_text()
+    assert overridden != baseline
+    recorded = json.loads(overridden)["config"]
+    assert recorded["seed"] == recorded["seeds"][0] == 123
     monkeypatch.setenv("HENCLER_SEED", "not-an-int")
     assert main(["train", "--config", str(config)]) == EXIT_CONFIG
 

@@ -89,14 +89,6 @@ def test_bicluster_noise_robust_and_permutation_invariant():
     assert nmi(rows_a, labels) == 1.0
 
 
-def test_bicluster_drop_leading_flag():
-    sim, labels = planted_block_similarity([10, 10], noise=0.01, seed=3)
-    _, _, kept = bicluster(sim, k=2, seed=0)
-    _, _, dropped = bicluster(sim, k=2, seed=0, drop_leading=True)
-    assert kept.singular_values[0] > dropped.singular_values[0]
-    assert dropped.left_vectors.shape == kept.left_vectors.shape
-
-
 def test_normalized_weighting_consistency():
     phi, psi = positive_factors(7, 6, 4, 4)
     sim = phi @ psi.T
@@ -190,22 +182,20 @@ def test_embedding_recovery_relation():
                                    atol=1e-12)
 
 
-@pytest.mark.parametrize("n, m, d, tied, drop_leading", [
-    (40, 30, 5, False, False),  # n > d_f
-    (30, 30, 5, False, False),  # square, as in the oracle
-    (40, 30, 5, False, True),
-    (6, 7, 12, False, False),  # n < d_f
-    (25, 25, 4, True, False),  # phi is psi
+@pytest.mark.parametrize("n, m, d, tied", [
+    pytest.param(40, 30, 5, False, id="40-30-5-False-False"),  # n > d_f
+    # square, as in the oracle
+    pytest.param(30, 30, 5, False, id="30-30-5-False-False"),
+    pytest.param(6, 7, 12, False, id="6-7-12-False-False"),  # n < d_f
+    pytest.param(25, 25, 4, True, id="25-25-4-True-False"),  # phi is psi
 ])
-def test_factored_matches_dense(n, m, d, tied, drop_leading):
+def test_factored_matches_dense(n, m, d, tied):
     phi, psi = positive_factors(n, m, d, seed=n + d)
     if tied:
         psi = phi
     forms = input_forms(phi, psi)
-    rows_d, cols_d, dense = bicluster(forms["dense"], k=3, seed=0,
-                                      drop_leading=drop_leading)
-    rows_f, cols_f, fact = bicluster(forms["factored"], k=3, seed=0,
-                                     drop_leading=drop_leading)
+    rows_d, cols_d, dense = bicluster(forms["dense"], k=3, seed=0)
+    rows_f, cols_f, fact = bicluster(forms["factored"], k=3, seed=0)
     np.testing.assert_allclose(fact.singular_values, dense.singular_values,
                                rtol=0, atol=1e-12)
     for a, b in ((dense.left_vectors, fact.left_vectors),

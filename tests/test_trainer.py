@@ -125,9 +125,8 @@ def test_divergence_reports_epoch():
             train(g, config)
 
 
-@pytest.mark.parametrize("overrides", [
-    {}, {"precision": "float32"}, {"tie_maps": True}],
-    ids=["float64", "float32", "tied"])
+@pytest.mark.parametrize("overrides", [{}, {"tie_maps": True}],
+                         ids=["float64", "tied"])
 def test_tracking_reuses_training_forward(monkeypatch, overrides):
     """Epoch e scored on epoch e + 1's training forward gets the bits of a
     run that ends at epoch e and scores it with a separate forward."""
@@ -149,14 +148,6 @@ def test_tracking_reuses_training_forward(monkeypatch, overrides):
                                         eval_every=epoch + 1, **overrides))
         assert last.evals == [every.evals[epoch]]
         np.testing.assert_array_equal(seen[0], every_points[epoch])
-
-
-def test_float32_mode_runs():
-    g = heterophilous_blobs(num_nodes=20, num_classes=2, avg_degree=4,
-                            feature_dim=6, seed=7)
-    params, record = train(g, small_config(precision="float32", epochs=3))
-    assert len(record.epoch_losses) == 3
-    assert params.arrays["src.w1"].dtype == np.float32
 
 
 def test_training_memory_grows_linearly():
