@@ -7,8 +7,8 @@ An exact dual solver (SVD biclustering of the factored similarity, never
 forming an n x n matrix) serves as the oracle for the trained model.
 """
 
-from .graphio import AttributedGraph, PositionalEncoding, edge_homophily, \
-    load_graph, random_walk_pe, symmetrize
+from .graphio import AttributedGraph, edge_homophily, load_graph, \
+    random_walk_pe, symmetrize
 from .model import CheckpointError, EmbeddingPair, HenclerParams, ModelDims, \
     SimilarityFactor, decode_edge, decode_nodes, init_params, \
     load_checkpoint, map_features, project, save_checkpoint, similarity_matrix

@@ -23,8 +23,8 @@ import numpy as np
 
 from .dual import bicluster, eigen_form_check, stationarity_residual
 from .evaluate import assign_clusters, nmi
-from .graphio import AttributedGraph, GraphFormatError, \
-    PositionalEncoding, load_graph, random_walk_pe
+from .graphio import AttributedGraph, GraphFormatError, load_graph, \
+    random_walk_pe
 from .model import CheckpointError, ModelDims, init_params, \
     load_checkpoint, map_features, project, save_checkpoint, similarity_matrix
 from .synthetic import planted_block_similarity, random_sparse_graph
@@ -126,7 +126,7 @@ def _pe_path(directory: Path, g: AttributedGraph, k_pe: int) -> Path:
     return directory / f"pe-{digest.hexdigest()}.npy"
 
 
-def _read_pe(path: Path, num_nodes: int, k_pe: int) -> PositionalEncoding:
+def _read_pe(path: Path, num_nodes: int, k_pe: int) -> np.ndarray:
     try:
         with open(path, "rb") as handle:
             values = np.lib.format.read_array(handle, allow_pickle=False)
@@ -140,11 +140,11 @@ def _read_pe(path: Path, num_nodes: int, k_pe: int) -> PositionalEncoding:
     if not np.all((values >= 0.0) & (values <= 1.0)):  # False for NaN
         raise CheckpointError(f"{path}: positional encoding values must be "
                               f"finite and in [0, 1]")
-    return PositionalEncoding(values=values, num_steps=k_pe)
+    return values
 
 
 def _positional_encoding(g: AttributedGraph, k_pe: int, directory: Path,
-                         store: bool = False) -> PositionalEncoding:
+                         store: bool = False) -> np.ndarray:
     """The PE of `g`, read from `directory` when a file for this graph and
     `k_pe` is there, else computed and, with `store`, written there.
 
@@ -159,7 +159,7 @@ def _positional_encoding(g: AttributedGraph, k_pe: int, directory: Path,
     if store:
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         with open(tmp, "wb") as handle:
-            np.save(handle, pe.values, allow_pickle=False)
+            np.save(handle, pe, allow_pickle=False)
         os.replace(tmp, path)
     return pe
 

@@ -1,21 +1,21 @@
 """Minimal reverse-mode differentiation over the primitives the model needs.
 
 The tape is a DAG of `Var` nodes built implicitly by calling the op
-functions below. Leaves live in a `ParamSet`; `backward` is pure (it never
-mutates node state, so re-running it yields identical gradients), and
-`grad_check` validates any loss builder against central finite differences
-with per-coordinate kink rejection.
+functions below. Its trainable leaves come as a dict of named `Var`s, and
+`backward` returns their gradients under the same names. `backward` is pure
+(it never mutates node state, so re-running it yields identical gradients),
+and `grad_check` validates any loss builder against central finite
+differences with per-coordinate kink rejection.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "Var",
-    "ParamSet",
     "NonFiniteError",
     "constant",
     "add",
@@ -54,13 +54,12 @@ class NonFiniteError(ArithmeticError):
 class Var:
     """One node of the tape: a value plus backward rules to its parents."""
 
-    __slots__ = ("value", "parents", "op", "name", "kink_mask")
+    __slots__ = ("value", "parents", "op", "kink_mask")
 
-    def __init__(self, value, parents=(), op="leaf", name=None, kink_mask=None):
+    def __init__(self, value, parents=(), op="leaf", kink_mask=None):
         self.value = value
         self.parents = parents  # tuple of (Var, fn: out_grad -> parent_grad)
         self.op = op
-        self.name = name
         # Boolean branch pattern for piecewise-linear ops; used by grad_check
         # to reject finite-difference coordinates that cross a kink.
         self.kink_mask = kink_mask
@@ -80,31 +79,6 @@ class Var:
 
     def __repr__(self):
         return f"Var(op={self.op!r}, shape={self.value.shape})"
-
-
-class ParamSet:
-    """Named trainable leaves. Names are unique; shapes are fixed at creation."""
-
-    def __init__(self):
-        self._vars: dict[str, Var] = {}
-
-    def add(self, name: str, value: np.ndarray) -> Var:
-        if name in self._vars:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        arr = np.array(value, copy=True)
-        if not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(np.float64)
-        self._vars[name] = Var(arr, op="param", name=name)
-        return self._vars[name]
-
-    def __getitem__(self, name: str) -> Var:
-        return self._vars[name]
-
-    def trainable(self) -> dict[str, Var]:
-        return dict(self._vars)
-
-    def value(self, name: str) -> np.ndarray:
-        return self._vars[name].value
 
 
 def _as_float(x) -> np.ndarray:
@@ -364,8 +338,9 @@ def kink_signature(root: Var) -> list[np.ndarray]:
             if node.kink_mask is not None]
 
 
-def backward(loss: Var, wrt: Iterable[Var] | None = None) -> dict[int, np.ndarray]:
-    """Accumulate gradients of a scalar loss; returns {id(var): grad}.
+def backward(loss: Var, wrt: dict[str, Var]) -> dict[str, np.ndarray]:
+    """Gradients of a scalar loss with respect to the named Vars of `wrt`,
+    under the same names; a Var the loss does not reach is left out.
 
     Pure: node state is never mutated, so calling this twice on the same
     tape gives bit-identical results.
@@ -373,7 +348,7 @@ def backward(loss: Var, wrt: Iterable[Var] | None = None) -> dict[int, np.ndarra
     if loss.value.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
     order = _topo_order(loss)
-    want = None if wrt is None else {id(v) for v in wrt}
+    want = {id(v) for v in wrt.values()}
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.value)}
     for node in reversed(order):
         g = grads.get(id(node))
@@ -386,9 +361,10 @@ def backward(loss: Var, wrt: Iterable[Var] | None = None) -> dict[int, np.ndarra
                 grads[pid] = grads[pid] + contrib
             else:
                 grads[pid] = contrib
-        if node.parents and (want is None or id(node) not in want):
+        if node.parents and id(node) not in want:
             del grads[id(node)]  # free intermediates early
-    return grads
+    return {name: grads[id(var)] for name, var in wrt.items()
+            if id(var) in grads}
 
 
 def _signatures_equal(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
@@ -397,12 +373,12 @@ def _signatures_equal(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
     return all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
-def grad_check(loss_builder: Callable[[ParamSet], Var], params: ParamSet,
-               step: float = 1e-5, coords_per_param: int = 20,
-               seed: int = 0) -> float:
+def grad_check(loss_builder: Callable[[dict[str, Var]], Var],
+               params: dict[str, Var], step: float = 1e-5,
+               coords_per_param: int = 20, seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Samples at least `coords_per_param` coordinates per trainable parameter.
+    Samples at least `coords_per_param` coordinates of each named leaf.
     A coordinate is skipped when either perturbed evaluation lands on a
     different branch of a piecewise primitive (leaky-ReLU / clamp kink
     crossing), where finite differences are meaningless. When the two
@@ -410,23 +386,22 @@ def grad_check(loss_builder: Callable[[ParamSet], Var], params: ParamSet,
     difference is numerically zero and is reported as such (measuring
     sub-ulp differences would only amplify rounding noise).
     """
-    for name, var in params.trainable().items():
+    for name, var in params.items():
         if var.value.dtype != np.float64:
             raise ValueError(f"grad_check requires float64 parameters ({name} "
                              f"is {var.value.dtype})")
     loss = loss_builder(params)
     base_sig = kink_signature(loss)
-    trainable = params.trainable()
-    grads = backward(loss, wrt=trainable.values())
+    grads = backward(loss, wrt=params)
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for name, var in trainable.items():
+    for name, var in params.items():
         flat = var.value.reshape(-1)
         size = flat.size
         n_coords = min(size, max(coords_per_param, 1))
         coords = rng.choice(size, size=n_coords, replace=False)
-        analytic_full = grads.get(id(var))
+        analytic_full = grads.get(name)
         analytic_flat = (np.zeros(size) if analytic_full is None
                          else analytic_full.reshape(-1))
         for c in coords:

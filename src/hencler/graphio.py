@@ -18,7 +18,6 @@ import scipy.sparse as sp
 __all__ = [
     "GraphFormatError",
     "AttributedGraph",
-    "PositionalEncoding",
     "load_graph",
     "symmetrize",
     "edge_homophily",
@@ -51,14 +50,6 @@ class AttributedGraph:
     @property
     def feature_dim(self) -> int:
         return self.features.shape[1]
-
-
-@dataclass(frozen=True)
-class PositionalEncoding:
-    """Per-node return probabilities of random walks of length 1..num_steps."""
-
-    values: np.ndarray  # (num_nodes, num_steps), entries in [0, 1]
-    num_steps: int
 
 
 def _dedup(edges: np.ndarray) -> np.ndarray:
@@ -213,6 +204,7 @@ def _walk_operators(g: AttributedGraph) -> tuple[sp.csr_matrix, sp.csr_matrix]:
 # two threads took 1.01x the one-thread time at 300 nodes, 0.99x at 600,
 # 0.81x at 1000 and 0.51x at 3000.
 PE_THREADS_MIN_NODES = 1000
+PE_BLOCK_SIZE = 32  # identity columns per block of the walk
 
 
 def _num_workers(num_nodes: int, num_blocks: int) -> int:
@@ -227,9 +219,9 @@ def _num_workers(num_nodes: int, num_blocks: int) -> int:
     return max(1, min(cores, num_blocks))
 
 
-def random_walk_pe(g: AttributedGraph, num_steps: int,
-                   block_size: int = 32) -> PositionalEncoding:
-    """Diagonal entries of transition-matrix powers 1..num_steps per node.
+def random_walk_pe(g: AttributedGraph, num_steps: int) -> np.ndarray:
+    """Diagonal entries of transition-matrix powers 1..num_steps per node:
+    an (n, num_steps) float64 array of return probabilities in [0, 1].
 
     Uses the two-sided identity diag(P^t)_i = <(P^T)^a e_i, P^b e_i> with
     a = t // 2 and b = t - a: per column block of the identity, the right
@@ -249,6 +241,7 @@ def random_walk_pe(g: AttributedGraph, num_steps: int,
     if num_steps < 1:
         raise ValueError("num_steps must be >= 1")
     n = g.num_nodes
+    block_size = PE_BLOCK_SIZE
     right, left = _walk_operators(g)
     values = np.zeros((n, num_steps), dtype=np.float64)
 
@@ -274,4 +267,4 @@ def random_walk_pe(g: AttributedGraph, num_steps: int,
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))  # re-raises a worker's exception
-    return PositionalEncoding(values=values, num_steps=num_steps)
+    return values

@@ -147,7 +147,7 @@ class LossParts(dict):
     embeddings: tuple[ad.Var, ad.Var]
 
 
-def build_total_loss(ps: ad.ParamSet, x_aug: np.ndarray, features: np.ndarray,
+def build_total_loss(ps: dict[str, ad.Var], x_aug: np.ndarray, features: np.ndarray,
                      sample: EdgeSample | None, tied: bool = False,
                      mode: str = "all") -> LossParts:
     """Full training objective on the tape.

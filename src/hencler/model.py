@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gradients as ad
-from .graphio import AttributedGraph, PositionalEncoding
+from .graphio import AttributedGraph
 
 __all__ = [
     "CheckpointError",
@@ -64,7 +64,7 @@ class ModelDims:
 
 @dataclass
 class HenclerParams:
-    """All trainable tensors, keyed by ParamSet name.
+    """All trainable float64 arrays, keyed by the names of `_param_shapes`.
 
     When `tied` is set the target map shares the source map's parameters
     (the symmetric ablation) and no "dst.*" entries exist.
@@ -74,15 +74,14 @@ class HenclerParams:
     tied: bool
     arrays: dict[str, np.ndarray]
 
-    def to_paramset(self) -> ad.ParamSet:
-        ps = ad.ParamSet()
-        for name, value in self.arrays.items():
-            ps.add(name, value)
-        return ps
+    def leaves(self) -> dict[str, ad.Var]:
+        """The arrays as the tape's trainable leaves, under the same names.
 
-    def update_from(self, ps: ad.ParamSet) -> None:
-        for name in self.arrays:
-            self.arrays[name] = ps.value(name).copy()
+        Each leaf holds its array itself, not a copy, so an in-place update
+        of a leaf's value is an update of `arrays`.
+        """
+        return {name: ad.Var(value, op="param")
+                for name, value in self.arrays.items()}
 
 
 @dataclass(frozen=True)
@@ -106,28 +105,39 @@ def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def _mlp_arrays(rng, d_in, hidden, d_f, prefix):
-    return {
-        f"{prefix}.w1": _xavier(rng, d_in, hidden),
-        f"{prefix}.b1": np.zeros(hidden),
-        f"{prefix}.w2": _xavier(rng, hidden, d_f),
-        f"{prefix}.b2": np.zeros(d_f),
-        f"{prefix}.bn_gamma": np.ones(d_f),
-        f"{prefix}.bn_beta": np.zeros(d_f),
-    }
+def _param_shapes(dims: ModelDims, tied: bool) -> dict[str, tuple]:
+    """Name and shape of every parameter, in `init_params`' draw order."""
+    shapes = {}
+    for prefix in ("src",) if tied else ("src", "dst"):
+        shapes.update({
+            f"{prefix}.w1": (dims.d_in, dims.hidden),
+            f"{prefix}.b1": (dims.hidden,),
+            f"{prefix}.w2": (dims.hidden, dims.d_f),
+            f"{prefix}.b2": (dims.d_f,),
+            f"{prefix}.bn_gamma": (dims.d_f,),
+            f"{prefix}.bn_beta": (dims.d_f,),
+        })
+    shapes["proj_src"] = (dims.d_f, dims.s)
+    shapes["proj_dst"] = (dims.d_f, dims.s)
+    shapes["rec.w1"] = (2 * dims.d_f, dims.rec_hidden)
+    shapes["rec.b1"] = (dims.rec_hidden,)
+    shapes["rec.w2"] = (dims.rec_hidden, dims.d_x)
+    shapes["rec.b2"] = (dims.d_x,)
+    return shapes
 
 
 def init_params(dims: ModelDims, seed: int = 0, tied: bool = False) -> HenclerParams:
+    """Xavier-uniform matrices drawn in `_param_shapes` order, zero biases and
+    batchnorm shifts, unit batchnorm scales."""
     rng = np.random.default_rng(seed)
-    arrays = _mlp_arrays(rng, dims.d_in, dims.hidden, dims.d_f, "src")
-    if not tied:
-        arrays.update(_mlp_arrays(rng, dims.d_in, dims.hidden, dims.d_f, "dst"))
-    arrays["proj_src"] = _xavier(rng, dims.d_f, dims.s)
-    arrays["proj_dst"] = _xavier(rng, dims.d_f, dims.s)
-    arrays["rec.w1"] = _xavier(rng, 2 * dims.d_f, dims.rec_hidden)
-    arrays["rec.b1"] = np.zeros(dims.rec_hidden)
-    arrays["rec.w2"] = _xavier(rng, dims.rec_hidden, dims.d_x)
-    arrays["rec.b2"] = np.zeros(dims.d_x)
+    arrays = {}
+    for name, shape in _param_shapes(dims, tied).items():
+        if len(shape) == 2:
+            arrays[name] = _xavier(rng, *shape)
+        elif name.endswith(".bn_gamma"):
+            arrays[name] = np.ones(shape)
+        else:
+            arrays[name] = np.zeros(shape)
     return HenclerParams(dims=dims, tied=tied, arrays=arrays)
 
 
@@ -143,7 +153,7 @@ def _mlp(ps, x: ad.Var, prefix: str) -> ad.Var:
     return ad.softplus(normed)
 
 
-def feature_maps(ps: ad.ParamSet, x_aug: ad.Var,
+def feature_maps(ps: dict[str, ad.Var], x_aug: ad.Var,
                  tied: bool = False) -> tuple[ad.Var, ad.Var]:
     """Tape forward of both feature-map MLPs on [features || PE] rows."""
     source = _mlp(ps, x_aug, "src")
@@ -151,12 +161,13 @@ def feature_maps(ps: ad.ParamSet, x_aug: ad.Var,
     return source, target
 
 
-def projections(ps: ad.ParamSet, source: ad.Var,
+def projections(ps: dict[str, ad.Var], source: ad.Var,
                 target: ad.Var) -> tuple[ad.Var, ad.Var]:
     return ad.matmul(source, ps["proj_src"]), ad.matmul(target, ps["proj_dst"])
 
 
-def node_decoder(ps: ad.ParamSet, src_emb: ad.Var, dst_emb: ad.Var) -> ad.Var:
+def node_decoder(ps: dict[str, ad.Var], src_emb: ad.Var,
+                 dst_emb: ad.Var) -> ad.Var:
     """Reconstruct node features from [U e_v || V r_v] with the decoder MLP."""
     back_src = ad.matmul(src_emb, ad.transpose(ps["proj_src"]))
     back_dst = ad.matmul(dst_emb, ad.transpose(ps["proj_dst"]))
@@ -166,7 +177,7 @@ def node_decoder(ps: ad.ParamSet, src_emb: ad.Var, dst_emb: ad.Var) -> ad.Var:
     return ad.matmul(hidden, ps["rec.w2"]) + ps["rec.b2"]
 
 
-def edge_logits(ps: ad.ParamSet, src_emb: ad.Var, dst_emb: ad.Var,
+def edge_logits(ps: dict[str, ad.Var], src_emb: ad.Var, dst_emb: ad.Var,
                 src_idx: np.ndarray, dst_idx: np.ndarray) -> ad.Var:
     """Dot-product decoder logits e_u^T (U^T V) r_v for the given pairs."""
     cross = ad.matmul(ad.transpose(ps["proj_src"]), ps["proj_dst"])  # (s, s)
@@ -176,13 +187,13 @@ def edge_logits(ps: ad.ParamSet, src_emb: ad.Var, dst_emb: ad.Var,
                          axis=1)
 
 
-def _augmented_input(g: AttributedGraph, pe: PositionalEncoding) -> np.ndarray:
-    if pe.values.shape[0] != g.num_nodes:
+def _augmented_input(g: AttributedGraph, pe: np.ndarray) -> np.ndarray:
+    if pe.shape[0] != g.num_nodes:
         raise ValueError("positional encoding row count does not match graph")
-    return np.hstack([g.features, pe.values])
+    return np.hstack([g.features, pe])
 
 
-def map_features(g: AttributedGraph, pe: PositionalEncoding,
+def map_features(g: AttributedGraph, pe: np.ndarray,
                  params: HenclerParams) -> SimilarityFactor:
     """Run both feature maps over all nodes."""
     x_aug = _augmented_input(g, pe)
@@ -191,29 +202,28 @@ def map_features(g: AttributedGraph, pe: PositionalEncoding,
         raise CheckpointError(
             f"model expects input width {expected} (d_x {params.dims.d_x} + "
             f"k_pe {params.dims.k_pe}), got {x_aug.shape[1]} (features "
-            f"{g.feature_dim} + k_pe {pe.values.shape[1]})")
-    ps = params.to_paramset()
-    source, target = feature_maps(ps, ad.constant(x_aug), tied=params.tied)
+            f"{g.feature_dim} + k_pe {pe.shape[1]})")
+    source, target = feature_maps(params.leaves(), ad.constant(x_aug),
+                                  tied=params.tied)
     return SimilarityFactor(source=source.value, target=target.value)
 
 
 def project(sf: SimilarityFactor, params: HenclerParams) -> EmbeddingPair:
-    ps = params.to_paramset()
-    src_emb, dst_emb = projections(ps, ad.constant(sf.source),
+    src_emb, dst_emb = projections(params.leaves(), ad.constant(sf.source),
                                    ad.constant(sf.target))
     return EmbeddingPair(source=src_emb.value, target=dst_emb.value)
 
 
 def decode_nodes(emb: EmbeddingPair, params: HenclerParams) -> np.ndarray:
-    ps = params.to_paramset()
-    recon = node_decoder(ps, ad.constant(emb.source), ad.constant(emb.target))
+    recon = node_decoder(params.leaves(), ad.constant(emb.source),
+                         ad.constant(emb.target))
     return recon.value
 
 
 def decode_edge(emb: EmbeddingPair, params: HenclerParams,
                 u: int, v: int) -> float:
     """Probability of an edge u -> v; asymmetric in (u, v) in general."""
-    logit = edge_logits(params.to_paramset(), ad.constant(emb.source),
+    logit = edge_logits(params.leaves(), ad.constant(emb.source),
                         ad.constant(emb.target), [u], [v])
     return float(ad.sigmoid(logit).value[0])
 
@@ -238,9 +248,9 @@ def save_checkpoint(params: HenclerParams, path) -> None:
 
 def load_checkpoint(path) -> HenclerParams:
     """Read a checkpoint. Its dims must be positive integers, `tied` a
-    boolean, and its parameters finite and equal to `init_params(dims, tied)`
-    in names and shapes; otherwise CheckpointError names the first field
-    that is not."""
+    boolean, and its parameters finite and equal to `_param_shapes(dims,
+    tied)` in names and shapes; otherwise CheckpointError names the first
+    field that is not."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -268,17 +278,17 @@ def load_checkpoint(path) -> HenclerParams:
     if not isinstance(tied, bool):
         raise CheckpointError(f"{path}: tied must be true or false, "
                               f"got {tied!r}")
-    expected = init_params(dims, tied=tied).arrays
+    expected = _param_shapes(dims, tied)
     missing = sorted(set(expected) - set(arrays))
     extra = sorted(set(arrays) - set(expected))
     if missing or extra:
         raise CheckpointError(f"{path}: parameters missing {missing}, "
                               f"unexpected {extra}")
     for name, arr in arrays.items():
-        if arr.shape != expected[name].shape:
+        if arr.shape != expected[name]:
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {arr.shape}, dims "
-                f"require {expected[name].shape}")
+                f"require {expected[name]}")
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(
                 f"{path}: parameter {name!r} has non-finite values")

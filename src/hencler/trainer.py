@@ -15,7 +15,7 @@ import numpy as np
 
 from . import gradients as ad
 from .evaluate import nmi as nmi_score, pairwise_f1
-from .graphio import AttributedGraph, PositionalEncoding, random_walk_pe
+from .graphio import AttributedGraph, random_walk_pe
 from .linalg import kmeans
 from .loss import build_total_loss, sample_edges
 from .model import HenclerParams, ModelDims, _augmented_input, \
@@ -124,18 +124,18 @@ class AdamState:
     second_moment: dict[str, np.ndarray]
 
     @classmethod
-    def for_params(cls, ps: ad.ParamSet) -> "AdamState":
+    def for_params(cls, ps: dict[str, ad.Var]) -> "AdamState":
         return cls(step=0,
                    first_moment={k: np.zeros_like(v.value)
-                                 for k, v in ps.trainable().items()},
+                                 for k, v in ps.items()},
                    second_moment={k: np.zeros_like(v.value)
-                                  for k, v in ps.trainable().items()})
+                                  for k, v in ps.items()})
 
 
-def optimizer_step(ps: ad.ParamSet, grads: dict[str, np.ndarray],
+def optimizer_step(ps: dict[str, ad.Var], grads: dict[str, np.ndarray],
                    state: AdamState, lr: float, beta1: float = 0.9,
                    beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    """Bias-corrected Adam update, applied to the ParamSet in place."""
+    """Bias-corrected Adam update of the named leaves' values, in place."""
     state.step += 1
     t = state.step
     for name, grad in grads.items():
@@ -155,7 +155,7 @@ def optimizer_step(ps: ad.ParamSet, grads: dict[str, np.ndarray],
     return state
 
 
-def _project_unit_columns(ps: ad.ParamSet) -> None:
+def _project_unit_columns(ps: dict[str, ad.Var]) -> None:
     """Renormalize projection columns to the unit sphere after each step.
 
     The weighted-variance objective is unbounded below in the projection
@@ -177,12 +177,13 @@ def _eval_embeddings(ps, x_aug, tied):
 
 
 def train(g: AttributedGraph, config: TrainConfig,
-          pe: PositionalEncoding | None = None
+          pe: np.ndarray | None = None
           ) -> tuple[HenclerParams, RunRecord]:
     """Optimize the model on one graph; deterministic given config.seed.
 
-    The positional encoding may be precomputed and passed in (it is pure
-    preprocessing); otherwise it is derived here with config.k_pe steps.
+    The (n, k) positional encoding may be precomputed and passed in (it is
+    pure preprocessing); otherwise it is derived here with config.k_pe
+    steps.
     """
     if config.eval_every > 0 and g.labels is None:
         raise ValueError("metric tracking requires node labels "
@@ -190,7 +191,7 @@ def train(g: AttributedGraph, config: TrainConfig,
     started = time.perf_counter()
     if pe is None:
         pe = random_walk_pe(g, config.k_pe)
-    dims = ModelDims(d_x=g.feature_dim, k_pe=pe.values.shape[1],
+    dims = ModelDims(d_x=g.feature_dim, k_pe=pe.shape[1],
                      hidden=config.hidden, d_f=config.d_f,
                      s=config.latent_dim)
     x_aug = _augmented_input(g, pe)
@@ -198,7 +199,7 @@ def train(g: AttributedGraph, config: TrainConfig,
     seed_seq = np.random.SeedSequence(config.seed)
     init_seq, sample_seq, eval_seq = seed_seq.spawn(3)
     params = init_params(dims, seed=init_seq, tied=config.tie_maps)
-    ps = params.to_paramset()
+    ps = params.leaves()  # shares params.arrays, so each step updates it
     state = AdamState.for_params(ps)
     sample_rng = np.random.default_rng(sample_seq)
     eval_seed = int(np.random.default_rng(eval_seq).integers(2 ** 31))
@@ -225,17 +226,13 @@ def train(g: AttributedGraph, config: TrainConfig,
                                      tied=config.tie_maps, mode=config.loss)
             if pending is not None:
                 track(pending, *(emb.value for emb in parts.embeddings))
-            grads = ad.backward(parts["total"],
-                                wrt=ps.trainable().values())
-            named = {name: grads[id(var)]
-                     for name, var in ps.trainable().items()
-                     if id(var) in grads}
+            grads = ad.backward(parts["total"], wrt=ps)
             entry = {"epoch": epoch, "total": float(parts["total"].value)}
             for key in ("wksvd", "node_rec", "edge_rec"):
                 if key in parts:
                     entry[key] = float(parts[key].value)
             record.epoch_losses.append(entry)
-            optimizer_step(ps, named, state, config.learning_rate)
+            optimizer_step(ps, grads, state, config.learning_rate)
             _project_unit_columns(ps)
         except ad.NonFiniteError as exc:
             raise TrainingDiverged(
@@ -250,6 +247,5 @@ def train(g: AttributedGraph, config: TrainConfig,
                 f"non-finite forward after the last epoch ({pending}): "
                 f"{exc}") from exc
 
-    params.update_from(ps)
     record.wall_time_s = time.perf_counter() - started
     return params, record

@@ -69,8 +69,8 @@ def test_criterion_1_gradient_correctness():
         for key in params.arrays:  # generic random point near the init
             params.arrays[key] = params.arrays[key] \
                 + 0.05 * rng.normal(size=params.arrays[key].shape)
-        ps = params.to_paramset()
-        x_aug = np.hstack([g.features, pe.values])
+        ps = params.leaves()
+        x_aug = np.hstack([g.features, pe])
         sample = sample_edges(g, seed=100 + seed)
 
         def builder(p):

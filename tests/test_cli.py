@@ -203,7 +203,10 @@ def test_mismatched_checkpoint_exits_2(tmp_path, dataset, capsys):
     del missing["params"]["rec.w1"]
     reshaped = json.loads(json.dumps(doc))
     reshaped["params"]["proj_src"]["shape"].reverse()
-    for name, bad in (("rec.w1", missing), ("proj_src", reshaped)):
+    huge = json.loads(json.dumps(doc))
+    huge["dims"]["d_f"] = 10 ** 15
+    for name, bad in (("rec.w1", missing), ("proj_src", reshaped),
+                      ("src.w2", huge)):
         path = tmp_path / f"bad-{name}.json"
         path.write_text(json.dumps(bad))
         for command in (["oracle", "--output-dir", str(tmp_path / "oracle")],
@@ -420,7 +423,7 @@ def test_train_stores_the_pe_once_and_reuses_it(tmp_path, dataset,
     out = tmp_path / "out"
     (path,) = pe_files(out)
     g = load_graph(edge_path, feat_path, label_path, directed=False)
-    assert np.array_equal(np.load(path), random_walk_pe(g, 3).values)
+    assert np.array_equal(np.load(path), random_walk_pe(g, 3))
     assert calls == [3]
     stored = path.read_bytes()
     first = {name: (out / name).read_bytes() for name in TRAIN_ARTIFACTS}

@@ -132,22 +132,21 @@ def test_homophily_order_invariant_and_requires_labels(rng):
 def test_pe_directed_two_cycle():
     g = AttributedGraph(2, True, np.array([[0, 1], [1, 0]]), np.zeros((2, 1)))
     pe = random_walk_pe(g, 2)
-    np.testing.assert_allclose(pe.values, [[0.0, 1.0], [0.0, 1.0]])
+    np.testing.assert_allclose(pe, [[0.0, 1.0], [0.0, 1.0]])
 
 
 def test_pe_isolated_node():
     g = AttributedGraph(1, True, np.zeros((0, 2), dtype=np.int64),
                         np.zeros((1, 1)))
     pe = random_walk_pe(g, 3)
-    np.testing.assert_array_equal(pe.values, [[0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(pe, [[0.0, 0.0, 0.0]])
 
 
 def test_pe_triangle():
     edges = np.array([[0, 1], [1, 0], [1, 2], [2, 1], [0, 2], [2, 0]])
     g = AttributedGraph(3, False, edges, np.zeros((3, 1)))
     pe = random_walk_pe(g, 2)
-    np.testing.assert_allclose(pe.values,
-                               [[0.0, 0.5]] * 3, atol=1e-14)
+    np.testing.assert_allclose(pe, [[0.0, 0.5]] * 3, atol=1e-14)
 
 
 def test_pe_entries_in_unit_interval_and_equivariant(rng):
@@ -156,33 +155,35 @@ def test_pe_entries_in_unit_interval_and_equivariant(rng):
     edges = np.unique(edges[edges[:, 0] != edges[:, 1]], axis=0)
     g = AttributedGraph(n, True, edges, rng.normal(size=(n, 3)))
     pe = random_walk_pe(g, 5)
-    assert np.all(pe.values >= 0.0) and np.all(pe.values <= 1.0)
+    assert np.all(pe >= 0.0) and np.all(pe <= 1.0)
 
     perm = rng.permutation(n)
     relabeled = AttributedGraph(n, True, perm[g.edges],
                                 g.features[np.argsort(perm)])
     # node v in g maps to perm[v]; PE rows must permute identically
     pe_perm = random_walk_pe(relabeled, 5)
-    np.testing.assert_allclose(pe_perm.values[perm], pe.values, atol=1e-12)
+    np.testing.assert_allclose(pe_perm[perm], pe, atol=1e-12)
 
 
 def test_pe_self_loop_contributes_to_diagonal():
     g = AttributedGraph(2, True, np.array([[0, 0], [0, 1], [1, 0]]),
                         np.zeros((2, 1)))
     pe = random_walk_pe(g, 1)
-    assert pe.values[0, 0] == pytest.approx(0.5)  # self-loop kept
-    assert pe.values[1, 0] == 0.0
+    assert pe[0, 0] == pytest.approx(0.5)  # self-loop kept
+    assert pe[1, 0] == 0.0
 
 
-def test_pe_block_size_independence(rng):
+def test_pe_block_size_independence(rng, monkeypatch):
     n = 30
     edges = rng.integers(0, n, size=(90, 2))
     edges = np.unique(edges[edges[:, 0] != edges[:, 1]], axis=0)
     g = AttributedGraph(n, True, edges, np.zeros((n, 2)))
     for graph in (g, symmetrize(g)):
-        a = random_walk_pe(graph, 4, block_size=7)
-        b = random_walk_pe(graph, 4, block_size=512)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-14)
+        monkeypatch.setattr(graphio, "PE_BLOCK_SIZE", 7)
+        a = random_walk_pe(graph, 4)
+        monkeypatch.setattr(graphio, "PE_BLOCK_SIZE", 512)
+        b = random_walk_pe(graph, 4)
+        np.testing.assert_allclose(a, b, atol=1e-14)
 
 
 def dense_return_probabilities(g, num_steps):
@@ -215,7 +216,7 @@ def pe_exactness_graphs(rng):
             "bipartite": bipartite}
 
 
-def test_pe_matches_dense_matrix_powers(rng):
+def test_pe_matches_dense_matrix_powers(rng, monkeypatch):
     graphs = pe_exactness_graphs(rng)
     assert np.all(graphs["sink"].edges[:, 0] != 4)  # node 4 is a sink
     assert (graphs["symmetric"].edges == [0, 0]).all(axis=1).any()
@@ -226,12 +227,13 @@ def test_pe_matches_dense_matrix_powers(rng):
         for num_steps in (1, 2, 5, 16):
             expected = dense_return_probabilities(g, num_steps)
             for block_size in (3, 5, 512):
-                pe = random_walk_pe(g, num_steps, block_size=block_size)
-                np.testing.assert_allclose(pe.values, expected, rtol=0,
+                monkeypatch.setattr(graphio, "PE_BLOCK_SIZE", block_size)
+                pe = random_walk_pe(g, num_steps)
+                np.testing.assert_allclose(pe, expected, rtol=0,
                                            atol=1e-14, err_msg=name)
-                assert np.all(pe.values >= 0.0)
+                assert np.all(pe >= 0.0)
                 if name == "bipartite":
-                    assert np.all(pe.values[:, 0::2] == 0.0)
+                    assert np.all(pe[:, 0::2] == 0.0)
 
 
 def test_pe_bits_do_not_depend_on_thread_count(rng, monkeypatch):
@@ -250,14 +252,15 @@ def test_pe_bits_do_not_depend_on_thread_count(rng, monkeypatch):
                                 lambda pid, cores=cores: set(range(cores)))
             assert graphio._num_workers(13, 5) == min(cores, 5)
             assert graphio._num_workers(13, 1) == 1
-            runs[cores] = {(name, block_size): random_walk_pe(g, 16,
-                                                              block_size)
-                           for name, g in graphs.items()
-                           for block_size in (3, 5, 512)}
+            runs[cores] = {}
+            for block_size in (3, 5, 512):
+                monkeypatch.setattr(graphio, "PE_BLOCK_SIZE", block_size)
+                for name, g in graphs.items():
+                    runs[cores][name, block_size] = random_walk_pe(g, 16)
     finally:
         sys.setswitchinterval(interval)
     for key, pe in runs[1].items():
-        assert np.array_equal(pe.values, runs[4][key].values), key
+        assert np.array_equal(pe, runs[4][key]), key
 
 
 def test_pe_workers_by_graph_size_and_cores(monkeypatch):

@@ -28,9 +28,8 @@ def degrees(sf):
 
 def wksvd_value(sf, proj_src, proj_dst):
     """The wKSVD builder on constant factors."""
-    ps = ad.ParamSet()
-    ps.add("proj_src", proj_src)
-    ps.add("proj_dst", proj_dst)
+    ps = {"proj_src": ad.Var(proj_src, op="param"),
+          "proj_dst": ad.Var(proj_dst, op="param")}
     source, target = ad.constant(sf.source), ad.constant(sf.target)
     src_emb, dst_emb = projections(ps, source, target)
     out_deg, in_deg = _build_degrees(source, target)
@@ -40,7 +39,7 @@ def wksvd_value(sf, proj_src, proj_dst):
 
 def edge_rec_value(emb, params, sample):
     """The edge-reconstruction builder on constant embeddings."""
-    return float(_build_edge_rec(params.to_paramset(),
+    return float(_build_edge_rec(params.leaves(),
                                  ad.constant(emb.source),
                                  ad.constant(emb.target), sample).value)
 
@@ -150,19 +149,17 @@ def test_wksvd_fixed_spectrum_matches_softmax_of_zeros(s):
     # the fixed 1/s spectrum gives the bits of the softmax it replaced, in
     # the loss and in every gradient
     rng = np.random.default_rng(30 + s)
-    ps = ad.ParamSet()
-    for name, shape in (("source", (9, 4)), ("target", (9, 4)),
-                        ("proj_src", (4, s)), ("proj_dst", (4, s))):
-        ps.add(name, rng.uniform(0.1, 1.0, size=shape))
+    ps = {name: ad.Var(rng.uniform(0.1, 1.0, size=shape), op="param")
+          for name, shape in (("source", (9, 4)), ("target", (9, 4)),
+                              ("proj_src", (4, s)), ("proj_dst", (4, s)))}
     losses = []
     for builder in (_build_wksvd, softmax_of_zeros_wksvd):
         source, target = ps["source"], ps["target"]
         src_emb, dst_emb = projections(ps, source, target)
         out_deg, in_deg = _build_degrees(source, target)
         loss = builder(ps, source, target, src_emb, dst_emb, out_deg, in_deg)
-        grads = ad.backward(loss, wrt=ps.trainable().values())
-        losses.append((loss.value, [grads[id(var)] for var in
-                                    ps.trainable().values()]))
+        grads = ad.backward(loss, wrt=ps)
+        losses.append((loss.value, [grads[name] for name in ps]))
     (got, got_grads), (want, want_grads) = losses
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
     for a, b in zip(got_grads, want_grads):
@@ -255,8 +252,8 @@ def test_edge_rec_saturated_logits_stay_finite_with_gradient():
     params = init_params(dims, seed=0)
     params.arrays["proj_src"] = np.eye(2)
     params.arrays["proj_dst"] = np.eye(2)
-    ps = params.to_paramset()
-    src = ps.add("src_emb", np.array([[100.0, 0.0], [0.0, 100.0]]))
+    ps = params.leaves()
+    src = ad.Var(np.array([[100.0, 0.0], [0.0, 100.0]]), op="param")
     dst = ad.constant(np.array([[1.0, -1.0], [0.5, 0.5]]))
     sample = EdgeSample(positives=np.array([[0, 0]]),  # logit +100
                         negatives=np.array([[1, 0]]))  # logit -100
@@ -264,7 +261,7 @@ def test_edge_rec_saturated_logits_stay_finite_with_gradient():
     assert np.isfinite(loss.value)
     assert float(loss.value) == pytest.approx(np.log1p(np.exp(-100.0)),
                                               rel=1e-12)
-    g_src = ad.backward(loss, wrt=[src])[id(src)]
+    g_src = ad.backward(loss, wrt={"src_emb": src})["src_emb"]
     assert np.all(np.isfinite(g_src))
     assert np.all(g_src != 0.0)
 
@@ -311,13 +308,13 @@ def builder_inputs(seed=13, n=9):
     pe = random_walk_pe(g, 3)
     dims = ModelDims(d_x=4, k_pe=3, hidden=8, d_f=6, s=4)
     params = init_params(dims, seed=seed + 1)
-    x_aug = np.hstack([g.features, pe.values])
+    x_aug = np.hstack([g.features, pe])
     return g, pe, params, x_aug, sample_edges(g, seed=seed + 2)
 
 
 def test_total_loss_modes():
     g, _, params, x_aug, sample = builder_inputs()
-    ps = params.to_paramset()
+    ps = params.leaves()
     parts = {mode: build_total_loss(ps, x_aug, g.features, sample, mode=mode)
              for mode in ("all", "wksvd", "reconstr")}
     assert set(parts["all"]) == {"wksvd", "node_rec", "edge_rec", "total"}
@@ -341,8 +338,7 @@ def test_builder_components_match_public_ops():
     """The builders' losses equal the oracles evaluated on the outputs of
     the plain-array model functions."""
     g, pe, params, x_aug, sample = builder_inputs()
-    parts = build_total_loss(params.to_paramset(), x_aug, g.features,
-                             sample)
+    parts = build_total_loss(params.leaves(), x_aug, g.features, sample)
 
     sf = map_features(g, pe, params)
     emb = project(sf, params)
@@ -363,22 +359,19 @@ def test_builder_components_match_public_ops():
 def test_builder_never_materializes_square_matrix():
     """Peak tape memory at n = 10^4 stays O(n), far below any n x n array."""
     import tracemalloc
-    from hencler.graphio import PositionalEncoding
     from hencler.synthetic import random_sparse_graph
 
     def one_step(n):
         g = random_sparse_graph(n, avg_degree=4, feature_dim=8, seed=0)
-        pe = PositionalEncoding(
-            values=np.random.default_rng(1).uniform(0, 1, size=(n, 4)),
-            num_steps=4)
+        pe = np.random.default_rng(1).uniform(0, 1, size=(n, 4))
         dims = ModelDims(d_x=8, k_pe=4, hidden=32, d_f=16, s=4)
         params = init_params(dims, seed=0)
-        ps = params.to_paramset()
-        x_aug = np.hstack([g.features, pe.values])
+        ps = params.leaves()
+        x_aug = np.hstack([g.features, pe])
         sample = sample_edges(g, seed=2)
         tracemalloc.start()
         parts = build_total_loss(ps, x_aug, g.features, sample)
-        ad.backward(parts["total"], wrt=ps.trainable().values())
+        ad.backward(parts["total"], wrt=ps)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         return peak

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from hencler.graphio import PositionalEncoding, random_walk_pe
+from hencler import gradients as ad
+from hencler.graphio import random_walk_pe
 from hencler.model import CheckpointError, EmbeddingPair, HenclerParams, \
     ModelDims, decode_edge, decode_nodes, init_params, load_checkpoint, \
     map_features, project, save_checkpoint, similarity_matrix
@@ -65,7 +66,7 @@ def test_map_features_matches_straight_line_oracle():
     g = tiny_graph(num_nodes=10, d_x=5, seed=4)
     pe, params = make_model(g, seed=5)
     sf = map_features(g, pe, params)
-    x_aug = np.hstack([g.features, pe.values])
+    x_aug = np.hstack([g.features, pe])
     np.testing.assert_allclose(sf.source,
                                np_feature_map(x_aug, params.arrays, "src"),
                                atol=1e-12)
@@ -77,9 +78,27 @@ def test_map_features_matches_straight_line_oracle():
 def test_map_features_validates_width():
     g = tiny_graph(num_nodes=5, d_x=3, seed=1)
     pe, params = make_model(g)
-    wrong = PositionalEncoding(values=np.zeros((5, 9)), num_steps=9)
+    wrong = np.zeros((5, 9))
     with pytest.raises(CheckpointError, match="got 12"):
         map_features(g, wrong, params)
+
+
+def test_leaves_share_the_parameter_arrays():
+    """An in-place update of a leaf's value is an update of the array it
+    was made from, so the optimizer needs no copy back."""
+    g = tiny_graph(num_nodes=5, d_x=3, seed=1)
+    _, params = make_model(g)
+    leaves = params.leaves()
+    assert list(leaves) == list(params.arrays)
+    for name, var in leaves.items():
+        assert isinstance(var, ad.Var) and var.op == "param"
+        assert var.value is params.arrays[name]
+    leaves["proj_src"].value -= 1.0
+    leaves["rec.b2"].value[0] = 7.0
+    fresh = init_params(params.dims, seed=0)
+    np.testing.assert_array_equal(params.arrays["proj_src"],
+                                  fresh.arrays["proj_src"] - 1.0)
+    assert params.arrays["rec.b2"][0] == 7.0
 
 
 def test_project_trivial_and_oracle():
@@ -211,6 +230,11 @@ def test_checkpoint_rejects_params_that_do_not_match_dims(tmp_path):
         bad_dim = json.loads(json.dumps(good))
         bad_dim["dims"][key] = value
         cases.append((bad_dim, f"dims.{key} must be a positive integer"))
+    # dims far too large for the parameters: rejected by shape, without
+    # allocating the model the dims describe
+    huge = json.loads(json.dumps(good))
+    huge["dims"]["d_f"] = 10 ** 15
+    cases.append((huge, "'src.w2' has shape"))
     string_tied = json.loads(json.dumps(good))
     string_tied["tied"] = "false"
     cases.append((string_tied, "tied must be true or false"))

@@ -5,7 +5,6 @@ import pytest
 
 from hencler import gradients as ad
 from hencler import trainer
-from hencler.graphio import PositionalEncoding
 from hencler.linalg import kmeans
 from hencler.synthetic import heterophilous_blobs, random_sparse_graph
 from hencler.trainer import AdamState, TrainConfig, TrainingDiverged, \
@@ -64,42 +63,42 @@ def test_tie_maps_trains_single_mlp():
     assert not any(k.startswith("dst.") for k in params.arrays)
 
 
+def leaf(value):
+    return ad.Var(np.array(value, dtype=np.float64), op="param")
+
+
 def test_adam_zero_grads_leave_params_unchanged():
-    ps = ad.ParamSet()
-    ps.add("w", np.array([1.0, -2.0]))
+    ps = {"w": leaf([1.0, -2.0])}
     state = AdamState.for_params(ps)
     optimizer_step(ps, {"w": np.zeros(2)}, state, lr=0.1)
-    np.testing.assert_array_equal(ps.value("w"), [1.0, -2.0])
+    np.testing.assert_array_equal(ps["w"].value, [1.0, -2.0])
 
 
 def test_adam_single_step_hand_value():
-    ps = ad.ParamSet()
-    ps.add("w", np.array([0.0]))
+    ps = {"w": leaf([0.0])}
     state = AdamState.for_params(ps)
     grad = np.array([0.3])
     optimizer_step(ps, {"w": grad}, state, lr=0.01)
     # bias-corrected first step: m_hat = g, v_hat = g^2
     expected = -0.01 * 0.3 / (np.sqrt(0.3 ** 2) + 1e-8)
-    assert ps.value("w")[0] == pytest.approx(expected, rel=1e-12)
+    assert ps["w"].value[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_adam_shape_mismatch_rejected():
-    ps = ad.ParamSet()
-    ps.add("w", np.zeros((2, 2)))
+    ps = {"w": leaf(np.zeros((2, 2)))}
     state = AdamState.for_params(ps)
     with pytest.raises(ValueError, match="shape"):
         optimizer_step(ps, {"w": np.zeros(3)}, state, lr=0.1)
 
 
 def test_adam_converges_on_quadratic_bowl():
-    ps = ad.ParamSet()
-    ps.add("x", np.array([0.0]))
+    ps = {"x": leaf([0.0])}
     state = AdamState.for_params(ps)
     target = 0.3
     for _ in range(500):
-        grad = 2.0 * (ps.value("x") - target)
+        grad = 2.0 * (ps["x"].value - target)
         optimizer_step(ps, {"x": grad}, state, lr=0.01)
-    assert abs(ps.value("x")[0] - target) < 1e-4
+    assert abs(ps["x"].value[0] - target) < 1e-4
 
 
 def test_node_reconstruction_learns():
@@ -154,9 +153,7 @@ def test_training_memory_grows_linearly():
     peaks = {}
     for n in (1000, 4000, 10_000):
         g = random_sparse_graph(n, avg_degree=4, feature_dim=8, seed=8)
-        pe = PositionalEncoding(
-            values=np.random.default_rng(0).uniform(0, 1, size=(n, 4)),
-            num_steps=4)
+        pe = np.random.default_rng(0).uniform(0, 1, size=(n, 4))
         config = small_config(epochs=2, eval_every=0, hidden=32, d_f=16)
         tracemalloc.start()
         train(g, config, pe=pe)
