@@ -288,6 +288,10 @@ def cmd_oracle(args) -> int:
                          s=config.latent_dim)
         params = init_params(dims, seed=seed, tied=config.tie_maps)
         pe = random_walk_pe(g, config.k_pe)
+    if config.num_clusters > params.dims.d_f:
+        raise ConfigError(
+            f"num_clusters {config.num_clusters} exceeds the model's d_f "
+            f"{params.dims.d_f}: the learned similarity has rank at most d_f")
     sf = map_features(g, pe, params)
     rows, cols, solution = bicluster(sf, k=config.num_clusters, seed=seed,
                                      restarts=config.kmeans_restarts)

@@ -165,6 +165,9 @@ def stationarity_residual(sf: SimilarityFactor, solution: DualSolution,
     The two conditions defining the projection matrices are used to
     reconstruct them from the dual vectors (and therefore hold exactly);
     the residuals of the two remaining coupling equations are returned.
+    Those are the two block rows of the system `eigen_form_check` measures,
+    with the products associated differently, so the two agree up to
+    rounding for any solution: this is not an independent check.
     The weights default to the inverse degrees of S = Phi Psi^T.
     """
     sf = _float64(sf)

@@ -2,10 +2,13 @@
 
 The tape is a DAG of `Var` nodes built implicitly by calling the op
 functions below. Its trainable leaves come as a dict of named `Var`s, and
-`backward` returns their gradients under the same names. `backward` is pure
-(it never mutates node state, so re-running it yields identical gradients),
-and `grad_check` validates any loss builder against central finite
-differences with per-coordinate kink rejection.
+`backward` returns their gradients under the same names. An op also takes
+plain arrays (inputs, targets, labels): such an operand is captured by the
+closures of the op that uses it and is never a parent, so no gradient is
+computed for it. `backward` is pure (it never mutates node state, so
+re-running it yields identical gradients), and `grad_check` validates any
+loss builder against central finite differences with per-coordinate kink
+rejection.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import numpy as np
 __all__ = [
     "Var",
     "NonFiniteError",
-    "constant",
     "add",
     "sub",
     "scale",
@@ -58,7 +60,8 @@ class Var:
 
     def __init__(self, value, parents=(), op="leaf", kink_mask=None):
         self.value = value
-        self.parents = parents  # tuple of (Var, fn: out_grad -> parent_grad)
+        # tuple of (Var, fn: out_grad -> parent_grad); array operands are dropped
+        self.parents = tuple(p for p in parents if p[0].op != "const")
         self.op = op
         # Boolean branch pattern for piecewise-linear ops; used by grad_check
         # to reject finite-difference coordinates that cross a kink.
@@ -81,22 +84,15 @@ class Var:
         return f"Var(op={self.op!r}, shape={self.value.shape})"
 
 
-def _as_float(x) -> np.ndarray:
+def _lift(x) -> Var:
+    """An operand as a Var; an array (floating dtypes kept) becomes an
+    op="const" Var, which no `Var` keeps as a parent."""
+    if isinstance(x, Var):
+        return x
     arr = np.asarray(x)
     if not np.issubdtype(arr.dtype, np.floating):
         arr = arr.astype(np.float64)
-    return arr
-
-
-def constant(x) -> Var:
-    """Wrap an array as a non-trainable leaf; floating dtypes are kept."""
-    return Var(_as_float(x), op="const")
-
-
-def _lift(x) -> Var:
-    if isinstance(x, Var):
-        return x
-    return Var(_as_float(x), op="const")
+    return Var(arr, op="const")
 
 
 def _check(out: np.ndarray, op: str) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Training losses and the per-epoch edge sample.
 
 The tape builders below are the only implementation of the objective: the
-trainer runs them, and tests evaluate them on constant inputs against
+trainer runs them, and tests evaluate them on fixed inputs against
 independent oracles. Nothing here ever materializes the n x n similarity
 matrix: degrees come from factor column sums and edge terms touch only the
 sampled pairs.
@@ -117,7 +117,7 @@ def _build_wksvd(ps, source, target, src_emb, dst_emb, out_deg,
 
 def _build_node_rec(recon: ad.Var, features: np.ndarray) -> ad.Var:
     """Mean over nodes of the squared reconstruction error."""
-    diff = recon - ad.constant(features)
+    diff = recon - features
     return ad.scale(ad.reduce_sum(ad.square(diff)), 1.0 / features.shape[0])
 
 
@@ -131,8 +131,7 @@ def _build_edge_rec(ps, src_emb, dst_emb, sample: EdgeSample) -> ad.Var:
     # saturated pairs.
     log_on = ad.log_sigmoid(logits)
     log_off = ad.log_sigmoid(ad.scale(logits, -1.0))
-    matched = ad.mul(ad.constant(labels), log_on) \
-        + ad.mul(ad.constant(1.0 - labels), log_off)
+    matched = ad.mul(labels, log_on) + ad.mul(1.0 - labels, log_off)
     return ad.scale(ad.reduce_sum(matched), -1.0 / labels.size)
 
 
@@ -158,7 +157,7 @@ def build_total_loss(ps: dict[str, ad.Var], x_aug: np.ndarray, features: np.ndar
     """
     if mode not in ("all", "wksvd", "reconstr"):
         raise ValueError(f"unknown loss mode {mode!r}")
-    source, target = feature_maps(ps, ad.constant(x_aug), tied=tied)
+    source, target = feature_maps(ps, x_aug, tied=tied)
     src_emb, dst_emb = projections(ps, source, target)
     parts = LossParts()
     parts.embeddings = (src_emb, dst_emb)

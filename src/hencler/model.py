@@ -141,7 +141,7 @@ def init_params(dims: ModelDims, seed: int = 0, tied: bool = False) -> HenclerPa
     return HenclerParams(dims=dims, tied=tied, arrays=arrays)
 
 
-def _mlp(ps, x: ad.Var, prefix: str) -> ad.Var:
+def _mlp(ps, x: np.ndarray, prefix: str) -> ad.Var:
     hidden = ad.leaky_relu(ad.matmul(x, ps[f"{prefix}.w1"]) + ps[f"{prefix}.b1"],
                            slope=LEAKY_SLOPE)
     out = ad.matmul(hidden, ps[f"{prefix}.w2"]) + ps[f"{prefix}.b2"]
@@ -153,7 +153,7 @@ def _mlp(ps, x: ad.Var, prefix: str) -> ad.Var:
     return ad.softplus(normed)
 
 
-def feature_maps(ps: dict[str, ad.Var], x_aug: ad.Var,
+def feature_maps(ps: dict[str, ad.Var], x_aug: np.ndarray,
                  tied: bool = False) -> tuple[ad.Var, ad.Var]:
     """Tape forward of both feature-map MLPs on [features || PE] rows."""
     source = _mlp(ps, x_aug, "src")
@@ -161,13 +161,13 @@ def feature_maps(ps: dict[str, ad.Var], x_aug: ad.Var,
     return source, target
 
 
-def projections(ps: dict[str, ad.Var], source: ad.Var,
-                target: ad.Var) -> tuple[ad.Var, ad.Var]:
+def projections(ps: dict[str, ad.Var], source: ad.Var | np.ndarray,
+                target: ad.Var | np.ndarray) -> tuple[ad.Var, ad.Var]:
     return ad.matmul(source, ps["proj_src"]), ad.matmul(target, ps["proj_dst"])
 
 
-def node_decoder(ps: dict[str, ad.Var], src_emb: ad.Var,
-                 dst_emb: ad.Var) -> ad.Var:
+def node_decoder(ps: dict[str, ad.Var], src_emb: ad.Var | np.ndarray,
+                 dst_emb: ad.Var | np.ndarray) -> ad.Var:
     """Reconstruct node features from [U e_v || V r_v] with the decoder MLP."""
     back_src = ad.matmul(src_emb, ad.transpose(ps["proj_src"]))
     back_dst = ad.matmul(dst_emb, ad.transpose(ps["proj_dst"]))
@@ -177,8 +177,9 @@ def node_decoder(ps: dict[str, ad.Var], src_emb: ad.Var,
     return ad.matmul(hidden, ps["rec.w2"]) + ps["rec.b2"]
 
 
-def edge_logits(ps: dict[str, ad.Var], src_emb: ad.Var, dst_emb: ad.Var,
-                src_idx: np.ndarray, dst_idx: np.ndarray) -> ad.Var:
+def edge_logits(ps: dict[str, ad.Var], src_emb: ad.Var | np.ndarray,
+                dst_emb: ad.Var | np.ndarray, src_idx: np.ndarray,
+                dst_idx: np.ndarray) -> ad.Var:
     """Dot-product decoder logits e_u^T (U^T V) r_v for the given pairs."""
     cross = ad.matmul(ad.transpose(ps["proj_src"]), ps["proj_dst"])  # (s, s)
     selected_src = ad.gather_rows(src_emb, src_idx)
@@ -203,28 +204,24 @@ def map_features(g: AttributedGraph, pe: np.ndarray,
             f"model expects input width {expected} (d_x {params.dims.d_x} + "
             f"k_pe {params.dims.k_pe}), got {x_aug.shape[1]} (features "
             f"{g.feature_dim} + k_pe {pe.shape[1]})")
-    source, target = feature_maps(params.leaves(), ad.constant(x_aug),
-                                  tied=params.tied)
+    source, target = feature_maps(params.leaves(), x_aug, tied=params.tied)
     return SimilarityFactor(source=source.value, target=target.value)
 
 
 def project(sf: SimilarityFactor, params: HenclerParams) -> EmbeddingPair:
-    src_emb, dst_emb = projections(params.leaves(), ad.constant(sf.source),
-                                   ad.constant(sf.target))
+    src_emb, dst_emb = projections(params.leaves(), sf.source, sf.target)
     return EmbeddingPair(source=src_emb.value, target=dst_emb.value)
 
 
 def decode_nodes(emb: EmbeddingPair, params: HenclerParams) -> np.ndarray:
-    recon = node_decoder(params.leaves(), ad.constant(emb.source),
-                         ad.constant(emb.target))
+    recon = node_decoder(params.leaves(), emb.source, emb.target)
     return recon.value
 
 
 def decode_edge(emb: EmbeddingPair, params: HenclerParams,
                 u: int, v: int) -> float:
     """Probability of an edge u -> v; asymmetric in (u, v) in general."""
-    logit = edge_logits(params.leaves(), ad.constant(emb.source),
-                        ad.constant(emb.target), [u], [v])
+    logit = edge_logits(params.leaves(), emb.source, emb.target, [u], [v])
     return float(ad.sigmoid(logit).value[0])
 
 

@@ -171,7 +171,7 @@ def _project_unit_columns(ps: dict[str, ad.Var]) -> None:
 
 def _eval_embeddings(ps, x_aug, tied):
     """Embeddings after the last step, which no training forward sees."""
-    source, target = feature_maps(ps, ad.constant(x_aug), tied=tied)
+    source, target = feature_maps(ps, x_aug, tied=tied)
     src_emb, dst_emb = projections(ps, source, target)
     return src_emb.value, dst_emb.value
 

@@ -220,6 +220,20 @@ def test_mismatched_checkpoint_exits_2(tmp_path, dataset, capsys):
     assert not (tmp_path / "sim.csv").exists()
 
 
+def test_oracle_rejects_more_clusters_than_d_f(tmp_path, dataset, capsys):
+    # the learned similarity has rank at most d_f, so it cannot give
+    # num_clusters singular pairs
+    config = write_config(tmp_path, dataset, d_f=1)
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    checkpoint = str(tmp_path / "out" / "checkpoint.json")
+    for extra in (["--checkpoint", checkpoint], []):
+        code = main(["oracle", "--config", str(config),
+                     "--output-dir", str(tmp_path / "oracle"), *extra])
+        assert code == EXIT_CONFIG, extra
+        assert "d_f 1" in capsys.readouterr().err
+    assert not (tmp_path / "oracle").exists()
+
+
 def test_input_width_mismatch_exits_2(tmp_path, dataset, capsys):
     config = write_config(tmp_path, dataset)
     assert main(["train", "--config", str(config)]) == EXIT_OK

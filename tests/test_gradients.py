@@ -77,7 +77,7 @@ def test_batchnorm_fd():
 
     def builder(p):
         normed = ad.batchnorm(p["x"], p["gamma"], p["beta"])
-        return ad.reduce_sum(ad.mul(ad.square(normed), ad.constant(w)))
+        return ad.reduce_sum(ad.mul(ad.square(normed), w))
 
     assert dense_grad_check(builder, ps) < 1e-7
 
@@ -87,9 +87,8 @@ def test_batchnorm_stats_are_functions_of_input():
     rng = np.random.default_rng(4)
     x = rng.normal(size=(6, 3))
     gamma, beta = np.ones(3), np.zeros(3)
-    a = ad.batchnorm(ad.constant(x), ad.constant(gamma), ad.constant(beta))
-    b = ad.batchnorm(ad.constant(x + 5.0), ad.constant(gamma),
-                     ad.constant(beta))
+    a = ad.batchnorm(x, gamma, beta)
+    b = ad.batchnorm(x + 5.0, gamma, beta)
     np.testing.assert_allclose(a.value, b.value, atol=1e-10)
 
 
@@ -99,7 +98,7 @@ def test_softplus_sigmoid_chain_fd():
     ps = make_params(x=rng.normal(size=6))
 
     def builder(p):
-        mix = ad.mul(p["x"], ad.constant(w))
+        mix = ad.mul(p["x"], w)
         return ad.reduce_sum(ad.softplus(ad.sigmoid(mix)))
 
     assert dense_grad_check(builder, ps) < 1e-8
@@ -107,7 +106,7 @@ def test_softplus_sigmoid_chain_fd():
 
 def test_log_sigmoid_matches_log_of_sigmoid():
     x = np.linspace(-30, 30, 101)
-    got = ad.log_sigmoid(ad.constant(x)).value
+    got = ad.log_sigmoid(x).value
     want = np.log(1.0 / (1.0 + np.exp(-x)))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -169,7 +168,7 @@ def test_linear_map_grad_error_tiny():
     ps = make_params(a=rng.integers(-64, 64, size=(4, 3)) / 64.0)
 
     def builder(p):
-        return ad.reduce_sum(ad.mul(p["a"], ad.constant(w)))
+        return ad.reduce_sum(ad.mul(p["a"], w))
 
     assert ad.grad_check(builder, ps, step=2.0 ** -17, seed=0) < 1e-10
 
@@ -183,7 +182,7 @@ def test_leaky_relu_network_away_from_kinks():
     ps = make_params(w=w)
 
     def builder(p):
-        hidden = ad.leaky_relu(ad.matmul(ad.constant(x), p["w"]))
+        hidden = ad.leaky_relu(ad.matmul(x, p["w"]))
         return ad.reduce_sum(ad.square(hidden))
 
     assert ad.grad_check(builder, ps, step=1e-5, seed=0) < 1e-6
@@ -197,12 +196,21 @@ def test_grad_of_sum_is_sum_of_grads():
     ps = make_params(x=x)
 
     def part(p, w):
-        return ad.reduce_sum(ad.square(ad.matmul(p["x"], ad.constant(w))))
+        return ad.reduce_sum(ad.square(ad.matmul(p["x"], w)))
 
     g1 = grad(part(ps, w1), ps["x"])
     g2 = grad(part(ps, w2), ps["x"])
     g12 = grad(part(ps, w1) + part(ps, w2), ps["x"])
     np.testing.assert_allclose(g12, g1 + g2, rtol=1e-12)
+
+
+def test_array_operands_are_not_parents():
+    # an array operand is read by the op's closures only, so backward never
+    # computes a gradient for it
+    ps = make_params(w=np.ones((3, 2)))
+    out = ad.matmul(np.ones((4, 3)), ps["w"])
+    assert len(out.parents) == 1 and out.parents[0][0] is ps["w"]
+    np.testing.assert_array_equal(out.value, np.full((4, 2), 3.0))
 
 
 def test_backward_is_pure():

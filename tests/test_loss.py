@@ -20,17 +20,16 @@ def random_factors(n, d_f, seed):
 
 
 def degrees(sf):
-    """The builder's clamped (out, in) degrees on constant factors."""
-    out_deg, in_deg = _build_degrees(ad.constant(sf.source),
-                                     ad.constant(sf.target))
+    """The builder's clamped (out, in) degrees on fixed factors."""
+    out_deg, in_deg = _build_degrees(ad.Var(sf.source), ad.Var(sf.target))
     return out_deg.value, in_deg.value
 
 
 def wksvd_value(sf, proj_src, proj_dst):
-    """The wKSVD builder on constant factors."""
+    """The wKSVD builder on fixed factors."""
     ps = {"proj_src": ad.Var(proj_src, op="param"),
           "proj_dst": ad.Var(proj_dst, op="param")}
-    source, target = ad.constant(sf.source), ad.constant(sf.target)
+    source, target = ad.Var(sf.source), ad.Var(sf.target)
     src_emb, dst_emb = projections(ps, source, target)
     out_deg, in_deg = _build_degrees(source, target)
     return float(_build_wksvd(ps, source, target, src_emb, dst_emb, out_deg,
@@ -38,10 +37,9 @@ def wksvd_value(sf, proj_src, proj_dst):
 
 
 def edge_rec_value(emb, params, sample):
-    """The edge-reconstruction builder on constant embeddings."""
-    return float(_build_edge_rec(params.leaves(),
-                                 ad.constant(emb.source),
-                                 ad.constant(emb.target), sample).value)
+    """The edge-reconstruction builder on fixed embeddings."""
+    return float(_build_edge_rec(params.leaves(), emb.source, emb.target,
+                                 sample).value)
 
 
 def test_degrees_all_ones():
@@ -129,7 +127,7 @@ def softmax_of_zeros_wksvd(ps, source, target, src_emb, dst_emb, out_deg,
     s zero logits, multiplied in as a squared constant vector."""
     zeros = np.zeros(src_emb.value.shape[1])
     ex = np.exp(zeros - zeros.max())
-    inv_sigma = ad.square(ad.constant(ex / ex.sum()))
+    inv_sigma = ad.square(ex / ex.sum())
     var_src = ad.reduce_sum(ad.mul(
         ad.reduce_sum(ad.mul(ad.square(src_emb), inv_sigma), axis=1),
         ad.reciprocal(out_deg)))
@@ -176,7 +174,7 @@ def test_node_rec_loss_cases():
     g = tiny_graph(num_nodes=4, d_x=3, seed=4)
 
     def value(recon):
-        return float(_build_node_rec(ad.constant(recon), g.features).value)
+        return float(_build_node_rec(ad.Var(recon), g.features).value)
 
     assert value(g.features.copy()) == 0.0
     assert value(g.features + 1.0) == pytest.approx(3.0)
@@ -254,7 +252,7 @@ def test_edge_rec_saturated_logits_stay_finite_with_gradient():
     params.arrays["proj_dst"] = np.eye(2)
     ps = params.leaves()
     src = ad.Var(np.array([[100.0, 0.0], [0.0, 100.0]]), op="param")
-    dst = ad.constant(np.array([[1.0, -1.0], [0.5, 0.5]]))
+    dst = np.array([[1.0, -1.0], [0.5, 0.5]])
     sample = EdgeSample(positives=np.array([[0, 0]]),  # logit +100
                         negatives=np.array([[1, 0]]))  # logit -100
     loss = _build_edge_rec(ps, src, dst, sample)
@@ -332,6 +330,15 @@ def test_total_loss_modes():
         build_total_loss(ps, x_aug, g.features, sample, mode="bogus")
     with pytest.raises(ValueError, match="edge sample"):
         build_total_loss(ps, x_aug, g.features, None, mode="reconstr")
+
+
+def test_training_tape_leaves_are_the_parameters():
+    # the input, the reconstruction targets and the labels stay in the ops'
+    # closures, so every node without parents is a named parameter
+    g, _, params, x_aug, sample = builder_inputs()
+    loss = build_total_loss(params.leaves(), x_aug, g.features, sample)
+    order = ad._topo_order(loss["total"])
+    assert {node.op for node in order if not node.parents} == {"param"}
 
 
 def test_builder_components_match_public_ops():
