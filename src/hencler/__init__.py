@@ -10,8 +10,8 @@ forming an n x n matrix) serves as the oracle for the trained model.
 from .graphio import AttributedGraph, edge_homophily, load_graph, \
     random_walk_pe, symmetrize
 from .model import CheckpointError, EmbeddingPair, HenclerParams, ModelDims, \
-    SimilarityFactor, decode_edge, decode_nodes, init_params, \
-    load_checkpoint, map_features, project, save_checkpoint, similarity_matrix
+    SimilarityFactor, init_params, load_checkpoint, map_features, project, \
+    save_checkpoint, similarity_matrix
 from .loss import EdgeSample, sample_edges
 from .dual import DualSolution, bicluster, center_dual, center_primal, \
     eigen_form_check, fenchel_young_check, stationarity_residual

@@ -71,6 +71,11 @@ def load_config(path) -> dict:
     for key in ("edge_path", "feature_path"):
         if key not in doc:
             raise ConfigError(f"{path}: missing required key {key!r}")
+    for key in ("edge_path", "feature_path", "label_path", "output_dir"):
+        value = doc.get(key, "")  # a null label_path means no labels
+        if not isinstance(value, str) and (key, value) != ("label_path", None):
+            raise ConfigError(f"{path}: {key} must be a path string, "
+                              f"got {value!r}")
     return doc
 
 
@@ -242,9 +247,7 @@ def cmd_train(args) -> int:
     params = results[0][0]
     save_checkpoint(params, out_dir / "checkpoint.json")
     emb = project(map_features(g, pe, params), params)
-    assignment = assign_clusters(emb, config.num_clusters,
-                                 restarts=config.kmeans_restarts,
-                                 seed=config.seed)
+    assignment = assign_clusters(emb, config.num_clusters, seed=config.seed)
     _write_assignment(out_dir / "assignment.csv", assignment)
     _write_embeddings(out_dir / "embeddings.csv", emb)
     return EXIT_OK
@@ -259,8 +262,8 @@ def _write_oracle(out_dir: Path, rows, cols) -> None:
 def cmd_oracle(args) -> int:
     out_dir = Path(args.output_dir or "hencler_oracle")
     seed = _resolve_seed(args.seed)
-    if args.noise < 0:
-        raise ConfigError(f"--noise must be >= 0, got {args.noise}")
+    if not (np.isfinite(args.noise) and args.noise >= 0):
+        raise ConfigError(f"--noise must be finite and >= 0, got {args.noise}")
 
     if args.synthetic == "blocks":
         sizes = _sizes(args.block_sizes, "--block-sizes")
@@ -293,8 +296,7 @@ def cmd_oracle(args) -> int:
             f"num_clusters {config.num_clusters} exceeds the model's d_f "
             f"{params.dims.d_f}: the learned similarity has rank at most d_f")
     sf = map_features(g, pe, params)
-    rows, cols, solution = bicluster(sf, k=config.num_clusters, seed=seed,
-                                     restarts=config.kmeans_restarts)
+    rows, cols, solution = bicluster(sf, k=config.num_clusters, seed=seed)
     residuals = {
         "stationarity": stationarity_residual(sf, solution),
         "eigen_form": eigen_form_check(sf, solution),

@@ -36,13 +36,11 @@ _TINY = np.finfo(np.float64).eps
 
 @dataclass(frozen=True)
 class DualSolution:
-    """SVD factors of the weighted similarity plus the recovered embeddings."""
+    """Top singular triples of the degree-normalized D1^-1/2 S D2^-1/2."""
 
     left_vectors: np.ndarray  # (n, s), orthonormal columns
     right_vectors: np.ndarray  # (m, s), orthonormal columns
     singular_values: np.ndarray  # (s,), descending
-    source_embedding: np.ndarray  # (n, s): rows sigma * left_i / sqrt(w1_i)
-    target_embedding: np.ndarray  # (m, s): rows sigma * right_j / sqrt(w2_j)
 
 
 def center_primal(features, weights) -> np.ndarray:
@@ -119,7 +117,7 @@ def _normalized(s):
     return _scaled(s, 1.0 / np.sqrt(d1), 1.0 / np.sqrt(d2)), d1, d2
 
 
-def bicluster(similarity, k: int, seed: int = 0, restarts: int = 10
+def bicluster(similarity, k: int, seed: int = 0
               ) -> tuple[np.ndarray, np.ndarray, DualSolution]:
     """Spectral biclustering of an asymmetric similarity.
 
@@ -137,11 +135,10 @@ def bicluster(similarity, k: int, seed: int = 0, restarts: int = 10
     # e_i = sigma * h_i / sqrt(w1_i) with w1 = 1/d1, so the factor is sqrt(d1_i)
     src_emb = np.sqrt(d1)[:, None] * left * sing[None, :]
     dst_emb = np.sqrt(d2)[:, None] * right * sing[None, :]
-    row_clusters = kmeans(src_emb, k, restarts=restarts, seed=seed)
-    col_clusters = kmeans(dst_emb, k, restarts=restarts, seed=seed)
+    row_clusters = kmeans(src_emb, k, seed=seed)
+    col_clusters = kmeans(dst_emb, k, seed=seed)
     solution = DualSolution(left_vectors=left, right_vectors=right,
-                            singular_values=sing, source_embedding=src_emb,
-                            target_embedding=dst_emb)
+                            singular_values=sing)
     return row_clusters, col_clusters, solution
 
 

@@ -10,11 +10,10 @@ from .model import EmbeddingPair
 __all__ = ["assign_clusters", "nmi", "pairwise_f1"]
 
 
-def assign_clusters(emb: EmbeddingPair, k: int, restarts: int = 10,
-                    seed: int = 0) -> np.ndarray:
+def assign_clusters(emb: EmbeddingPair, k: int, seed: int = 0) -> np.ndarray:
     """kmeans over the row-wise concatenation of both embeddings."""
     points = np.hstack([emb.source, emb.target])
-    return kmeans(points, k, restarts=restarts, seed=seed)
+    return kmeans(points, k, seed=seed)
 
 
 def _contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:

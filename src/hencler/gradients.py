@@ -30,7 +30,6 @@ __all__ = [
     "concat",
     "gather_rows",
     "leaky_relu",
-    "sigmoid",
     "softplus",
     "log_sigmoid",
     "batchnorm",
@@ -203,12 +202,6 @@ def _stable_sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e = np.exp(-np.abs(x))
     denom = 1.0 + e
     return e, np.where(x >= 0, 1.0 / denom, e / denom)
-
-
-def sigmoid(a) -> Var:
-    a = _lift(a)
-    out = _check(_stable_sigmoid(a.value)[1], "sigmoid")
-    return Var(out, ((a, lambda g: g * out * (1.0 - out)),), op="sigmoid")
 
 
 def softplus(a) -> Var:

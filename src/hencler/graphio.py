@@ -52,10 +52,10 @@ class AttributedGraph:
         return self.features.shape[1]
 
 
-def _dedup(edges: np.ndarray) -> np.ndarray:
-    if edges.shape[0] == 0:
-        return edges.reshape(0, 2)
-    return np.unique(edges, axis=0)
+def _dedup(edges: np.ndarray, num_nodes: int) -> np.ndarray:
+    """Distinct edges in (src, dst) order, sorted as one int64 key each."""
+    keys = np.unique(edges[:, 0] * num_nodes + edges[:, 1])
+    return np.stack(np.divmod(keys, num_nodes), axis=1)
 
 
 def _parse_features(path: Path) -> np.ndarray:
@@ -141,24 +141,23 @@ def load_graph(edge_path, feature_path, label_path=None,
     """
     features = _parse_features(Path(feature_path))
     num_nodes = features.shape[0]
-    edges = _parse_edges(Path(edge_path), num_nodes)
-    if not directed:
-        edges = np.concatenate([edges, edges[:, ::-1]], axis=0)
-    edges = _dedup(edges)
+    edges = _dedup(_parse_edges(Path(edge_path), num_nodes), num_nodes)
     labels = None
     num_classes = None
     if label_path is not None:
         labels = _parse_labels(Path(label_path), num_nodes)
         num_classes = int(labels.max()) + 1
-    return AttributedGraph(num_nodes=num_nodes, directed=directed, edges=edges,
-                           features=features, labels=labels,
-                           num_classes=num_classes)
+    g = AttributedGraph(num_nodes=num_nodes, directed=True, edges=edges,
+                        features=features, labels=labels,
+                        num_classes=num_classes)
+    return g if directed else symmetrize(g)
 
 
 def symmetrize(g: AttributedGraph) -> AttributedGraph:
     """Store both orientations of every edge; idempotent."""
     if g.num_edges:
-        edges = _dedup(np.concatenate([g.edges, g.edges[:, ::-1]], axis=0))
+        edges = _dedup(np.concatenate([g.edges, g.edges[:, ::-1]], axis=0),
+                       g.num_nodes)
     else:
         edges = g.edges
     return AttributedGraph(num_nodes=g.num_nodes, directed=False, edges=edges,

@@ -147,8 +147,7 @@ class LossParts(dict):
 
 
 def build_total_loss(ps: dict[str, ad.Var], x_aug: np.ndarray, features: np.ndarray,
-                     sample: EdgeSample | None, tied: bool = False,
-                     mode: str = "all") -> LossParts:
+                     sample: EdgeSample | None, mode: str = "all") -> LossParts:
     """Full training objective on the tape.
 
     Returns the component Vars plus their sum under "total"; disabled
@@ -157,7 +156,7 @@ def build_total_loss(ps: dict[str, ad.Var], x_aug: np.ndarray, features: np.ndar
     """
     if mode not in ("all", "wksvd", "reconstr"):
         raise ValueError(f"unknown loss mode {mode!r}")
-    source, target = feature_maps(ps, x_aug, tied=tied)
+    source, target = feature_maps(ps, x_aug)
     src_emb, dst_emb = projections(ps, source, target)
     parts = LossParts()
     parts.embeddings = (src_emb, dst_emb)

@@ -29,8 +29,6 @@ __all__ = [
     "init_params",
     "map_features",
     "project",
-    "decode_nodes",
-    "decode_edge",
     "similarity_matrix",
     "save_checkpoint",
     "load_checkpoint",
@@ -64,15 +62,16 @@ class ModelDims:
 
 @dataclass
 class HenclerParams:
-    """All trainable float64 arrays, keyed by the names of `_param_shapes`.
-
-    When `tied` is set the target map shares the source map's parameters
-    (the symmetric ablation) and no "dst.*" entries exist.
-    """
+    """All trainable float64 arrays, keyed by the names of `_param_shapes`."""
 
     dims: ModelDims
-    tied: bool
     arrays: dict[str, np.ndarray]
+
+    @property
+    def tied(self) -> bool:
+        """Whether the target map shares the source map's parameters (the
+        symmetric ablation), which is exactly when no "dst.*" arrays exist."""
+        return "dst.w1" not in self.arrays
 
     def leaves(self) -> dict[str, ad.Var]:
         """The arrays as the tape's trainable leaves, under the same names.
@@ -138,7 +137,7 @@ def init_params(dims: ModelDims, seed: int = 0, tied: bool = False) -> HenclerPa
             arrays[name] = np.ones(shape)
         else:
             arrays[name] = np.zeros(shape)
-    return HenclerParams(dims=dims, tied=tied, arrays=arrays)
+    return HenclerParams(dims=dims, arrays=arrays)
 
 
 def _mlp(ps, x: np.ndarray, prefix: str) -> ad.Var:
@@ -153,11 +152,14 @@ def _mlp(ps, x: np.ndarray, prefix: str) -> ad.Var:
     return ad.softplus(normed)
 
 
-def feature_maps(ps: dict[str, ad.Var], x_aug: np.ndarray,
-                 tied: bool = False) -> tuple[ad.Var, ad.Var]:
-    """Tape forward of both feature-map MLPs on [features || PE] rows."""
+def feature_maps(ps: dict[str, ad.Var],
+                 x_aug: np.ndarray) -> tuple[ad.Var, ad.Var]:
+    """Tape forward of both feature-map MLPs on [features || PE] rows.
+
+    Without "dst.*" parameters the maps are tied: the target is the source.
+    """
     source = _mlp(ps, x_aug, "src")
-    target = source if tied else _mlp(ps, x_aug, "dst")
+    target = _mlp(ps, x_aug, "dst") if "dst.w1" in ps else source
     return source, target
 
 
@@ -204,25 +206,13 @@ def map_features(g: AttributedGraph, pe: np.ndarray,
             f"model expects input width {expected} (d_x {params.dims.d_x} + "
             f"k_pe {params.dims.k_pe}), got {x_aug.shape[1]} (features "
             f"{g.feature_dim} + k_pe {pe.shape[1]})")
-    source, target = feature_maps(params.leaves(), x_aug, tied=params.tied)
+    source, target = feature_maps(params.leaves(), x_aug)
     return SimilarityFactor(source=source.value, target=target.value)
 
 
 def project(sf: SimilarityFactor, params: HenclerParams) -> EmbeddingPair:
     src_emb, dst_emb = projections(params.leaves(), sf.source, sf.target)
     return EmbeddingPair(source=src_emb.value, target=dst_emb.value)
-
-
-def decode_nodes(emb: EmbeddingPair, params: HenclerParams) -> np.ndarray:
-    recon = node_decoder(params.leaves(), emb.source, emb.target)
-    return recon.value
-
-
-def decode_edge(emb: EmbeddingPair, params: HenclerParams,
-                u: int, v: int) -> float:
-    """Probability of an edge u -> v; asymmetric in (u, v) in general."""
-    logit = edge_logits(params.leaves(), emb.source, emb.target, [u], [v])
-    return float(ad.sigmoid(logit).value[0])
 
 
 def similarity_matrix(sf: SimilarityFactor) -> np.ndarray:
@@ -289,4 +279,4 @@ def load_checkpoint(path) -> HenclerParams:
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(
                 f"{path}: parameter {name!r} has non-finite values")
-    return HenclerParams(dims=dims, tied=tied, arrays=arrays)
+    return HenclerParams(dims=dims, arrays=arrays)

@@ -33,7 +33,7 @@ class TrainingDiverged(ArithmeticError):
 class TrainConfig:
     """Hyperparameters; defaults follow the fixed configuration of the runs
     reported for this model (hidden 256, output 128, s = 2k, lr 0.01,
-    300 epochs)."""
+    300 epochs). Every kmeans runs with its default of 10 restarts."""
 
     num_clusters: int
     epochs: int = 300
@@ -46,11 +46,10 @@ class TrainConfig:
     loss: str = "all"  # "all" | "wksvd" | "reconstr"
     tie_maps: bool = False
     eval_every: int = 1  # 0 disables metric tracking
-    kmeans_restarts: int = 10
 
     def __post_init__(self):
         for name in ("num_clusters", "epochs", "hidden", "d_f", "s", "k_pe",
-                     "seed", "eval_every", "kmeans_restarts"):
+                     "seed", "eval_every"):
             value = getattr(self, name)
             if (name != "s" or value is not None) and (
                     isinstance(value, bool)
@@ -70,8 +69,7 @@ class TrainConfig:
                              f"got {self.learning_rate!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        sizes = {"k_pe": self.k_pe, "hidden": self.hidden, "d_f": self.d_f,
-                 "kmeans_restarts": self.kmeans_restarts}
+        sizes = {"k_pe": self.k_pe, "hidden": self.hidden, "d_f": self.d_f}
         if self.s is not None:
             sizes["s"] = self.s
         for name, value in sizes.items():
@@ -169,9 +167,9 @@ def _project_unit_columns(ps: dict[str, ad.Var]) -> None:
                             1e-12)
 
 
-def _eval_embeddings(ps, x_aug, tied):
+def _eval_embeddings(ps, x_aug):
     """Embeddings after the last step, which no training forward sees."""
-    source, target = feature_maps(ps, x_aug, tied=tied)
+    source, target = feature_maps(ps, x_aug)
     src_emb, dst_emb = projections(ps, source, target)
     return src_emb.value, dst_emb.value
 
@@ -209,8 +207,7 @@ def train(g: AttributedGraph, config: TrainConfig,
 
     def track(epoch: int, src_emb: np.ndarray, dst_emb: np.ndarray) -> None:
         points = np.hstack([src_emb, dst_emb])
-        assignment = kmeans(points, config.num_clusters,
-                            restarts=config.kmeans_restarts, seed=eval_seed)
+        assignment = kmeans(points, config.num_clusters, seed=eval_seed)
         record.track(epoch, nmi_score(assignment, g.labels),
                      pairwise_f1(assignment, g.labels))
 
@@ -223,7 +220,7 @@ def train(g: AttributedGraph, config: TrainConfig,
                   if needs_edges else None)
         try:
             parts = build_total_loss(ps, x_aug, g.features, sample,
-                                     tied=config.tie_maps, mode=config.loss)
+                                     mode=config.loss)
             if pending is not None:
                 track(pending, *(emb.value for emb in parts.embeddings))
             grads = ad.backward(parts["total"], wrt=ps)
@@ -241,7 +238,7 @@ def train(g: AttributedGraph, config: TrainConfig,
                    and (epoch + 1) % config.eval_every == 0 else None)
     if pending is not None:
         try:
-            track(pending, *_eval_embeddings(ps, x_aug, config.tie_maps))
+            track(pending, *_eval_embeddings(ps, x_aug))
         except ad.NonFiniteError as exc:
             raise TrainingDiverged(
                 f"non-finite forward after the last epoch ({pending}): "

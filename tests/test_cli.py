@@ -255,7 +255,9 @@ def test_input_width_mismatch_exits_2(tmp_path, dataset, capsys):
     ("s", 0), ("eval_every", -1), ("epochs", 2.5), ("k_pe", True),
     ("num_clusters", 100), ("tie_maps", "false"), ("learning_rate", True),
     ("learning_rate", float("nan")), ("learning_rate", float("inf")),
-    ("directed", "false"), ("seed", -1)])
+    ("directed", "false"), ("seed", -1), ("kmeans_restarts", 10),
+    ("edge_path", 5), ("label_path", 7), ("feature_path", None),
+    ("output_dir", 5)])
 def test_non_positive_sizes_exit_2(tmp_path, dataset, capsys, key, value):
     config = write_config(tmp_path, dataset, **{key: value})
     assert main(["train", "--config", str(config)]) == EXIT_CONFIG
@@ -271,6 +273,8 @@ def test_non_positive_sizes_exit_2(tmp_path, dataset, capsys, key, value):
     ["oracle", "--synthetic", "blocks", "--block-sizes", "a,b"],
     ["oracle", "--synthetic", "blocks", "--block-sizes", "0,3"],
     ["oracle", "--synthetic", "blocks", "--noise", "-1"],
+    ["oracle", "--synthetic", "blocks", "--noise", "nan"],
+    ["oracle", "--synthetic", "blocks", "--noise", "inf"],
     ["oracle", "--config", "{config}", "--checkpoint", "missing.json"],
     ["export-similarity", "--config", "{config}",
      "--checkpoint", "missing.json"],
@@ -279,7 +283,8 @@ def test_non_positive_sizes_exit_2(tmp_path, dataset, capsys, key, value):
     ["oracle", "--synthetic", "blocks", "--seed", "-1"],
     ["benchmark", "--sizes", "50", "--epochs", "1", "--seed", "-1"],
 ], ids=["repeats-0", "repeats-neg", "sizes-abc", "epochs-neg",
-        "block-sizes-abc", "block-sizes-0", "noise-neg",
+        "block-sizes-abc", "block-sizes-0", "noise-neg", "noise-nan",
+        "noise-inf",
         "oracle-missing-checkpoint", "export-missing-checkpoint",
         "env-seed-neg", "oracle-seed-neg", "blocks-seed-neg",
         "benchmark-seed-neg"])

@@ -5,7 +5,7 @@ from hencler.dual import DualSolution, _normalized, bicluster, center_dual, \
     center_primal, eigen_form_check, fenchel_young_check, \
     stationarity_residual
 from hencler.evaluate import nmi
-from hencler.linalg import frobenius_relerr
+from hencler.linalg import frobenius_relerr, kmeans
 from hencler.model import SimilarityFactor
 from hencler.synthetic import planted_block_similarity
 
@@ -130,9 +130,7 @@ def test_stationarity_detects_perturbation():
     broken_left[0, 0] += 0.1
     broken = DualSolution(left_vectors=broken_left,
                           right_vectors=solution.right_vectors,
-                          singular_values=solution.singular_values,
-                          source_embedding=solution.source_embedding,
-                          target_embedding=solution.target_embedding)
+                          singular_values=solution.singular_values)
     assert stationarity_residual(sf, broken, w1, w2) > 1e-3
 
 
@@ -164,22 +162,23 @@ def test_eigen_form_negative_control(rng):
         bogus = DualSolution(
             left_vectors=rng.normal(size=solution.left_vectors.shape),
             right_vectors=rng.normal(size=solution.right_vectors.shape),
-            singular_values=solution.singular_values,
-            source_embedding=solution.source_embedding,
-            target_embedding=solution.target_embedding)
+            singular_values=solution.singular_values)
         assert eigen_form_check(similarity, bogus) > 0.1, form
 
 
 def test_embedding_recovery_relation():
-    # e_i = sigma * h_i / sqrt(w1_i) with w = 1/degree
+    # kmeans clusters e_i = sigma * h_i / sqrt(w1_i) with w = 1/degree,
+    # and the column embeddings alike
     phi, psi = positive_factors(6, 5, 3, 8)
-    d1 = (phi @ psi.T).sum(axis=1)
+    sim = phi @ psi.T
+    d1, d2 = sim.sum(axis=1), sim.sum(axis=0)
     for similarity in input_forms(phi, psi).values():
-        _, _, solution = bicluster(similarity, k=3, seed=0)
-        scaled = np.sqrt(d1)[:, None] * solution.left_vectors \
-            * solution.singular_values[None, :]
-        np.testing.assert_allclose(solution.source_embedding, scaled,
-                                   atol=1e-12)
+        rows, cols, solution = bicluster(similarity, k=3, seed=0)
+        sing = solution.singular_values[None, :]
+        src_emb = np.sqrt(d1)[:, None] * solution.left_vectors * sing
+        dst_emb = np.sqrt(d2)[:, None] * solution.right_vectors * sing
+        np.testing.assert_array_equal(rows, kmeans(src_emb, 3, seed=0))
+        np.testing.assert_array_equal(cols, kmeans(dst_emb, 3, seed=0))
 
 
 @pytest.mark.parametrize("n, m, d, tied", [

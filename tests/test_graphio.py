@@ -89,6 +89,15 @@ def test_comments_and_duplicates(tmp_path):
     assert g.num_edges == 2  # duplicates collapse, both orientations kept
 
 
+def test_dedup_matches_unique_rows(rng):
+    for n, count in ((1, 3), (7, 60), (50, 400)):
+        edges = rng.integers(0, n, size=(count, 2))
+        got = graphio._dedup(edges, n)
+        want = np.unique(edges, axis=0)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+
+
 def test_symmetrize_idempotent(tmp_path):
     edge_path, feat_path, _ = write_dataset(
         tmp_path, [(0, 1), (2, 0)], [[0.0], [1.0], [2.0]])

@@ -9,7 +9,7 @@ from hencler.loss import EPS_DEG, EdgeSample, _build_degrees, \
     _build_edge_rec, _build_node_rec, _build_wksvd, build_total_loss, \
     sample_edges
 from hencler.model import EmbeddingPair, ModelDims, SimilarityFactor, \
-    decode_nodes, init_params, map_features, project, projections
+    init_params, map_features, node_decoder, project, projections
 from conftest import tiny_graph
 
 
@@ -352,7 +352,8 @@ def test_builder_components_match_public_ops():
     want_wksvd = wksvd_bruteforce(sf, params.arrays["proj_src"],
                                   params.arrays["proj_dst"])
     assert float(parts["wksvd"].value) == pytest.approx(want_wksvd, rel=1e-10)
-    want_node = node_rec_oracle(decode_nodes(emb, params), g.features)
+    recon = node_decoder(params.leaves(), emb.source, emb.target).value
+    want_node = node_rec_oracle(recon, g.features)
     assert float(parts["node_rec"].value) == pytest.approx(want_node,
                                                            rel=1e-10)
     want_edge = bce_scalar_loop(emb, params, sample)

@@ -5,9 +5,9 @@ import pytest
 
 from hencler import gradients as ad
 from hencler.graphio import random_walk_pe
-from hencler.model import CheckpointError, EmbeddingPair, HenclerParams, \
-    ModelDims, decode_edge, decode_nodes, init_params, load_checkpoint, \
-    map_features, project, save_checkpoint, similarity_matrix
+from hencler.model import CheckpointError, HenclerParams, ModelDims, \
+    edge_logits, feature_maps, init_params, load_checkpoint, map_features, \
+    node_decoder, project, save_checkpoint, similarity_matrix
 from conftest import tiny_graph
 
 LEAKY = 0.01
@@ -60,6 +60,22 @@ def test_tied_params_have_no_dst_entries():
     np.testing.assert_array_equal(sf.source, sf.target)
     sim = similarity_matrix(sf)
     assert np.max(np.abs(sim - sim.T)) < 1e-10
+
+
+def test_tied_follows_the_arrays(tmp_path):
+    g = tiny_graph(num_nodes=6, d_x=4, seed=2)
+    x_aug = np.hstack([g.features, random_walk_pe(g, 3)])
+    for tied in (True, False):
+        _, params = make_model(g, tied=tied)
+        assert params.tied is tied
+        source, target = feature_maps(params.leaves(), x_aug)
+        assert (source is target) is tied
+        save_checkpoint(params, tmp_path / f"{tied}.json")
+        assert load_checkpoint(tmp_path / f"{tied}.json").tied is tied
+    # dropping the target map's arrays ties the model
+    for key in [k for k in params.arrays if k.startswith("dst.")]:
+        del params.arrays[key]
+    assert params.tied
 
 
 def test_map_features_matches_straight_line_oracle():
@@ -123,23 +139,23 @@ def test_project_trivial_and_oracle():
                                atol=1e-13)
 
 
-def test_decode_nodes_zero_weights_and_oracle():
+def test_node_decoder_zero_weights_and_oracle():
     g = tiny_graph(num_nodes=7, d_x=4, seed=10)
     pe, params = make_model(g, d_f=5, s=3, seed=11)
     sf = map_features(g, pe, params)
     emb = project(sf, params)
 
-    zeroed = HenclerParams(dims=params.dims, tied=False,
+    zeroed = HenclerParams(dims=params.dims,
                            arrays={k: v.copy() for k, v in params.arrays.items()})
     for key in ("rec.w1", "rec.b1", "rec.w2"):
         zeroed.arrays[key] = np.zeros_like(zeroed.arrays[key])
     zeroed.arrays["rec.b2"] = np.arange(4.0)
-    recon = decode_nodes(emb, zeroed)
+    recon = node_decoder(zeroed.leaves(), emb.source, emb.target).value
     np.testing.assert_allclose(recon, np.tile(np.arange(4.0), (7, 1)),
                                atol=1e-14)
 
     # straight-line oracle
-    recon = decode_nodes(emb, params)
+    recon = node_decoder(params.leaves(), emb.source, emb.target).value
     joined = np.hstack([emb.source @ params.arrays["proj_src"].T,
                         emb.target @ params.arrays["proj_dst"].T])
     h = joined @ params.arrays["rec.w1"] + params.arrays["rec.b1"]
@@ -148,27 +164,29 @@ def test_decode_nodes_zero_weights_and_oracle():
     np.testing.assert_allclose(recon, want, atol=1e-12)
 
 
-def test_decode_edge_sigmoid_cases():
+def test_edge_logits_cases():
     dims = ModelDims(d_x=2, k_pe=1, hidden=4, d_f=3, s=3)
     params = init_params(dims, seed=0)
     params.arrays["proj_src"] = np.eye(3)
     params.arrays["proj_dst"] = np.eye(3)
-    zero_emb = EmbeddingPair(source=np.zeros((2, 3)), target=np.ones((2, 3)))
-    assert decode_edge(zero_emb, params, 0, 1) == pytest.approx(0.5)
+    ps = params.leaves()
+    logit = edge_logits(ps, np.zeros((2, 3)), np.ones((2, 3)), [0], [1])
+    assert logit.value[0] == pytest.approx(0.0)
 
-    # ||e||^2 = ln 3 with U^T V = I gives probability 3/4
-    vec = np.sqrt(np.log(3.0) / 3.0) * np.ones(3)
-    emb = EmbeddingPair(source=np.tile(vec, (2, 1)), target=np.tile(vec, (2, 1)))
-    assert decode_edge(emb, params, 0, 1) == pytest.approx(0.75, abs=1e-12)
+    # ||e||^2 = ln 3 with U^T V = I gives logit ln 3 (probability 3/4)
+    vec = np.tile(np.sqrt(np.log(3.0) / 3.0) * np.ones(3), (2, 1))
+    logit = edge_logits(ps, vec, vec, [0], [1])
+    assert logit.value[0] == pytest.approx(np.log(3.0), abs=1e-12)
 
 
-def test_decode_edge_is_asymmetric_in_general():
+def test_edge_logits_are_asymmetric_in_general():
     g = tiny_graph(num_nodes=6, d_x=4, seed=12)
     pe, params = make_model(g, seed=13)
     emb = project(map_features(g, pe, params), params)
-    probs = np.array([[decode_edge(emb, params, u, v) for v in range(6)]
-                      for u in range(6)])
-    assert np.max(np.abs(probs - probs.T)) > 1e-6  # asymmetry witness
+    src, dst = np.divmod(np.arange(36), 6)
+    logits = edge_logits(params.leaves(), emb.source, emb.target, src, dst)
+    logits = logits.value.reshape(6, 6)
+    assert np.max(np.abs(logits - logits.T)) > 1e-6  # asymmetry witness
 
 
 def test_similarity_asymmetry_witness_on_random_init():

@@ -133,7 +133,7 @@ def test_tracking_reuses_training_forward(monkeypatch, overrides):
                             feature_dim=6, seed=10)
     seen = []
 
-    def recording_kmeans(points, k, restarts, seed):
+    def recording_kmeans(points, k, restarts=10, seed=0):
         seen.append(points.copy())
         return kmeans(points, k, restarts=restarts, seed=seed)
 
