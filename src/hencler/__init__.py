@@ -9,8 +9,8 @@ forming an n x n matrix) serves as the oracle for the trained model.
 
 from .graphio import AttributedGraph, edge_homophily, load_graph, \
     random_walk_pe, symmetrize
-from .model import CheckpointError, EmbeddingPair, HenclerParams, ModelDims, \
-    SimilarityFactor, init_params, load_checkpoint, map_features, project, \
+from .model import CheckpointError, HenclerParams, ModelDims, \
+    SimilarityFactor, init_params, load_checkpoint, map_features, \
     save_checkpoint, similarity_matrix
 from .loss import EdgeSample, sample_edges
 from .dual import DualSolution, bicluster, center_dual, center_primal, \

@@ -15,7 +15,6 @@ import sys
 import time
 import tracemalloc
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -26,7 +25,7 @@ from .evaluate import assign_clusters, nmi
 from .graphio import AttributedGraph, GraphFormatError, load_graph, \
     random_walk_pe
 from .model import CheckpointError, ModelDims, init_params, \
-    load_checkpoint, map_features, project, save_checkpoint, similarity_matrix
+    load_checkpoint, map_features, save_checkpoint, similarity_matrix
 from .synthetic import planted_block_similarity, random_sparse_graph
 from .trainer import TrainConfig, train
 
@@ -188,15 +187,15 @@ def _write_assignment(path, assignment) -> None:
             handle.write(f"{node},{cluster}\n")
 
 
-def _write_embeddings(path, emb) -> None:
-    s = emb.source.shape[1]
+def _write_embeddings(path, source, target) -> None:
+    s = source.shape[1]
     header = ",".join(["node"] + [f"e{i}" for i in range(s)]
                       + [f"r{i}" for i in range(s)])
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(header + "\n")
-        for node in range(emb.source.shape[0]):
-            row = [str(node)] + [repr(float(x)) for x in emb.source[node]] \
-                + [repr(float(x)) for x in emb.target[node]]
+        for node in range(source.shape[0]):
+            row = [str(node)] + [repr(float(x)) for x in source[node]] \
+                + [repr(float(x)) for x in target[node]]
             handle.write(",".join(row) + "\n")
 
 
@@ -216,13 +215,7 @@ def cmd_train(args) -> int:
 
     pe = _positional_encoding(g, config.k_pe, out_dir, store=True)
     seeds = [config.seed + i for i in range(args.repeats)]
-    configs = [replace(config, seed=s) for s in seeds]
-    if args.parallel and args.repeats > 1:
-        with ProcessPoolExecutor() as pool:
-            results = list(pool.map(train, [g] * len(configs), configs,
-                                    [pe] * len(configs)))
-    else:
-        results = [train(g, c, pe) for c in configs]
+    results = [train(g, replace(config, seed=s), pe) for s in seeds]
 
     records = [record for _, record in results]
     metrics: dict = {"config": {**asdict(config), "seeds": seeds},
@@ -244,12 +237,13 @@ def cmd_train(args) -> int:
 
     (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=1),
                                           encoding="utf-8")
-    params = results[0][0]
+    params, first = results[0]
     save_checkpoint(params, out_dir / "checkpoint.json")
-    emb = project(map_features(g, pe, params), params)
-    assignment = assign_clusters(emb, config.num_clusters, seed=config.seed)
+    source, target = first.embeddings
+    assignment = assign_clusters(source, target, config.num_clusters,
+                                 seed=config.seed)
     _write_assignment(out_dir / "assignment.csv", assignment)
-    _write_embeddings(out_dir / "embeddings.csv", emb)
+    _write_embeddings(out_dir / "embeddings.csv", source, target)
     return EXIT_OK
 
 
@@ -426,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train and write run artifacts")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--repeats", type=int, default=1)
-    p_train.add_argument("--parallel", action="store_true")
     p_train.add_argument("--loss", choices=["all", "wksvd", "reconstr"],
                          default=None)
     p_train.add_argument("--tie-maps", action="store_true", dest="tie_maps")

@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import kmeans
-from .model import EmbeddingPair
 
 __all__ = ["assign_clusters", "nmi", "pairwise_f1"]
 
 
-def assign_clusters(emb: EmbeddingPair, k: int, seed: int = 0) -> np.ndarray:
-    """kmeans over the row-wise concatenation of both embeddings."""
-    points = np.hstack([emb.source, emb.target])
+def assign_clusters(source: np.ndarray, target: np.ndarray, k: int,
+                    seed: int = 0) -> np.ndarray:
+    """kmeans over the row-wise concatenation of both (n, s) embeddings."""
+    points = np.hstack([source, target])
     return kmeans(points, k, seed=seed)
 
 

@@ -6,7 +6,7 @@ is never materialized on the training path. Projection matrices produce the
 per-node embedding pair; two decoders reconstruct node features and edges.
 
 All forward arithmetic lives in the tape builders (`feature_maps`,
-`projections`, ...); the public functions wrap them for plain-array use.
+`projections`, ...); `map_features` wraps the first for plain arrays.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ __all__ = [
     "ModelDims",
     "HenclerParams",
     "SimilarityFactor",
-    "EmbeddingPair",
     "init_params",
     "map_features",
-    "project",
     "similarity_matrix",
     "save_checkpoint",
     "load_checkpoint",
@@ -89,14 +87,6 @@ class SimilarityFactor:
 
     source: np.ndarray  # (n, d_f)
     target: np.ndarray  # (n, d_f)
-
-
-@dataclass(frozen=True)
-class EmbeddingPair:
-    """Per-node latent vectors: source = Phi @ U, target = Psi @ V."""
-
-    source: np.ndarray  # (n, s)
-    target: np.ndarray  # (n, s)
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -208,11 +198,6 @@ def map_features(g: AttributedGraph, pe: np.ndarray,
             f"{g.feature_dim} + k_pe {pe.shape[1]})")
     source, target = feature_maps(params.leaves(), x_aug)
     return SimilarityFactor(source=source.value, target=target.value)
-
-
-def project(sf: SimilarityFactor, params: HenclerParams) -> EmbeddingPair:
-    src_emb, dst_emb = projections(params.leaves(), sf.source, sf.target)
-    return EmbeddingPair(source=src_emb.value, target=dst_emb.value)
 
 
 def similarity_matrix(sf: SimilarityFactor) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Full-batch training loop with per-epoch edge resampling and metric tracking.
 
 A tracked epoch is scored on the embeddings of the next epoch's training
-forward; only a tracked last epoch needs a forward of its own.
+forward. One forward after the last step gives the final embeddings, which
+also score a tracked last epoch.
 """
 
 from __future__ import annotations
@@ -32,15 +33,15 @@ class TrainingDiverged(ArithmeticError):
 @dataclass
 class TrainConfig:
     """Hyperparameters; defaults follow the fixed configuration of the runs
-    reported for this model (hidden 256, output 128, s = 2k, lr 0.01,
-    300 epochs). Every kmeans runs with its default of 10 restarts."""
+    reported for this model (hidden 256, output 128, lr 0.01, 300 epochs).
+    The latent width s is always 2 * num_clusters, and every kmeans runs
+    with its default of 10 restarts."""
 
     num_clusters: int
     epochs: int = 300
     learning_rate: float = 0.01
     hidden: int = 256
     d_f: int = 128
-    s: int | None = None  # defaults to 2 * num_clusters
     k_pe: int = 16
     seed: int = 0
     loss: str = "all"  # "all" | "wksvd" | "reconstr"
@@ -48,12 +49,11 @@ class TrainConfig:
     eval_every: int = 1  # 0 disables metric tracking
 
     def __post_init__(self):
-        for name in ("num_clusters", "epochs", "hidden", "d_f", "s", "k_pe",
-                     "seed", "eval_every"):
+        for name in ("num_clusters", "epochs", "hidden", "d_f", "k_pe", "seed",
+                     "eval_every"):
             value = getattr(self, name)
-            if (name != "s" or value is not None) and (
-                    isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer))):
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.tie_maps, (bool, np.bool_)):
             raise ValueError(f"tie_maps must be true or false, "
@@ -69,10 +69,8 @@ class TrainConfig:
                              f"got {self.learning_rate!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        sizes = {"k_pe": self.k_pe, "hidden": self.hidden, "d_f": self.d_f}
-        if self.s is not None:
-            sizes["s"] = self.s
-        for name, value in sizes.items():
+        for name, value in (("k_pe", self.k_pe), ("hidden", self.hidden),
+                            ("d_f", self.d_f)):
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
         if self.eval_every < 0:
@@ -82,12 +80,14 @@ class TrainConfig:
 
     @property
     def latent_dim(self) -> int:
-        return self.s if self.s is not None else 2 * self.num_clusters
+        return 2 * self.num_clusters
 
 
 @dataclass
 class RunRecord:
-    """Per-epoch losses, per-evaluation metrics, and their running maxima."""
+    """Per-epoch losses, per-evaluation metrics, their running maxima, and
+    the (source, target) embeddings of the final parameters, shape (n, s)
+    each. Only the losses and metrics are serialized."""
 
     epoch_losses: list[dict] = field(default_factory=list)
     evals: list[dict] = field(default_factory=list)
@@ -96,6 +96,7 @@ class RunRecord:
     best_f1: float | None = None
     best_f1_epoch: int | None = None
     wall_time_s: float = 0.0
+    embeddings: tuple[np.ndarray, np.ndarray] | None = None
 
     def track(self, epoch: int, nmi_value: float, f1_value: float) -> None:
         self.evals.append({"epoch": epoch, "nmi": nmi_value, "f1": f1_value})
@@ -106,7 +107,7 @@ class RunRecord:
 
     def to_dict(self) -> dict:
         # Wall time is left out so serialized records stay byte-identical
-        # across same-seed runs.
+        # across same-seed runs; the embeddings are written by the caller.
         return {
             "epoch_losses": self.epoch_losses,
             "evals": self.evals,
@@ -168,7 +169,8 @@ def _project_unit_columns(ps: dict[str, ad.Var]) -> None:
 
 
 def _eval_embeddings(ps, x_aug):
-    """Embeddings after the last step, which no training forward sees."""
+    """Embeddings of the parameters after the last step, which no training
+    forward sees."""
     source, target = feature_maps(ps, x_aug)
     src_emb, dst_emb = projections(ps, source, target)
     return src_emb.value, dst_emb.value
@@ -181,7 +183,7 @@ def train(g: AttributedGraph, config: TrainConfig,
 
     The (n, k) positional encoding may be precomputed and passed in (it is
     pure preprocessing); otherwise it is derived here with config.k_pe
-    steps.
+    steps. The record holds the embeddings of the returned parameters.
     """
     if config.eval_every > 0 and g.labels is None:
         raise ValueError("metric tracking requires node labels "
@@ -236,13 +238,15 @@ def train(g: AttributedGraph, config: TrainConfig,
                 f"non-finite loss at epoch {epoch}: {exc}") from exc
         pending = (epoch if config.eval_every > 0
                    and (epoch + 1) % config.eval_every == 0 else None)
-    if pending is not None:
-        try:
-            track(pending, *_eval_embeddings(ps, x_aug))
-        except ad.NonFiniteError as exc:
-            raise TrainingDiverged(
-                f"non-finite forward after the last epoch ({pending}): "
-                f"{exc}") from exc
+    parts = grads = None  # release the last epoch's tape
+    try:
+        record.embeddings = _eval_embeddings(ps, x_aug)
+        if pending is not None:
+            track(pending, *record.embeddings)
+    except ad.NonFiniteError as exc:
+        raise TrainingDiverged(
+            f"non-finite forward after the last epoch ({config.epochs - 1}): "
+            f"{exc}") from exc
 
     record.wall_time_s = time.perf_counter() - started
     return params, record

@@ -1,9 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hencler import cli
+from hencler import cli, model
 from hencler.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, main, run_benchmark
 from hencler.graphio import load_graph, random_walk_pe
 from hencler.synthetic import heterophilous_blobs, write_graph_tsv
@@ -255,7 +257,7 @@ def test_input_width_mismatch_exits_2(tmp_path, dataset, capsys):
     ("s", 0), ("eval_every", -1), ("epochs", 2.5), ("k_pe", True),
     ("num_clusters", 100), ("tie_maps", "false"), ("learning_rate", True),
     ("learning_rate", float("nan")), ("learning_rate", float("inf")),
-    ("directed", "false"), ("seed", -1), ("kmeans_restarts", 10),
+    ("directed", "false"), ("seed", -1), ("kmeans_restarts", 10), ("s", 4),
     ("edge_path", 5), ("label_path", 7), ("feature_path", None),
     ("output_dir", 5)])
 def test_non_positive_sizes_exit_2(tmp_path, dataset, capsys, key, value):
@@ -405,12 +407,73 @@ def test_export_label_sorted_blocks_have_structure(tmp_path, dataset):
     assert block_means.max() > 1.5 * block_means.min()
 
 
-def test_train_parallel_matches_sequential(tmp_path, dataset):
+def test_removed_parallel_flag_is_a_usage_error(tmp_path, dataset, capsys):
     config = write_config(tmp_path, dataset)
-    main(["train", "--config", str(config), "--repeats", "2"])
-    sequential = (tmp_path / "out" / "metrics.json").read_text()
-    main(["train", "--config", str(config), "--repeats", "2", "--parallel"])
-    assert (tmp_path / "out" / "metrics.json").read_text() == sequential
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(config), "--repeats", "2",
+              "--parallel"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--parallel" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("eval_every", [1, 0], ids=["tracked", "untracked"])
+def test_train_runs_one_forward_after_the_last_step(tmp_path, dataset,
+                                                    monkeypatch, eval_every):
+    """The written embeddings are the trainer's final forward: epochs + 1
+    source-map forwards in all, whether the last epoch is tracked or not."""
+    calls = []
+    mlp = model._mlp
+
+    def counted(ps, x, prefix):
+        calls.append(prefix)
+        return mlp(ps, x, prefix)
+
+    monkeypatch.setattr(model, "_mlp", counted)
+    config = write_config(tmp_path, dataset, eval_every=eval_every)
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    assert calls.count("src") == 4 + 1  # epochs + 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on purpose
+@pytest.mark.parametrize("eval_every", [1, 0], ids=["tracked", "untracked"])
+def test_divergence_on_the_last_step_writes_no_artifacts(tmp_path, dataset,
+                                                         capsys, eval_every):
+    """A step of size 1e300 leaves finite but huge parameters, so the loss
+    of that one epoch is finite and the final forward overflows. The run
+    fails before any artifact but the stored PE is written."""
+    config = write_config(tmp_path, dataset, epochs=1, learning_rate=1e300,
+                          eval_every=eval_every)
+    assert main(["train", "--config", str(config)]) == cli.EXIT_RUNTIME
+    assert "non-finite forward after the last epoch (0)" in \
+        capsys.readouterr().err
+    out = tmp_path / "out"
+    assert sorted(out.iterdir()) == pe_files(out)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_blocks(language):
+    """The bodies of the README's fenced code blocks in `language`."""
+    chunks = README.read_text(encoding="utf-8").split("```")
+    return [chunk[len(language):] for chunk in chunks[1::2]
+            if chunk.startswith(language + "\n")]
+
+
+def test_readme_commands_and_config_keys_exist():
+    """Every documented `hencler` command line parses, and every key of
+    the documented config is accepted."""
+    lines = [shlex.split(line, comments=True)
+             for block in readme_blocks("bash")
+             for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["hencler"]]
+    assert len(commands) >= 8
+    for argv in commands:
+        cli._build_parser().parse_args(argv)  # exits 2 on a stale flag
+    (example,) = readme_blocks("json")
+    keys = set(json.loads(example))
+    assert keys and keys <= cli._CONFIG_KEYS, keys - cli._CONFIG_KEYS
 
 
 TRAIN_ARTIFACTS = ("metrics.json", "assignment.csv", "embeddings.csv",

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hencler.evaluate import assign_clusters, nmi, pairwise_f1
-from hencler.model import EmbeddingPair
 
 
 def nmi_bruteforce(pred, truth):
@@ -139,27 +138,22 @@ def test_assign_clusters_concatenates_both_embeddings():
     target = np.vstack([rng.normal(size=(20, 2)) + [8, 0],
                         rng.normal(size=(20, 2)) - [8, 0]])
     source = rng.normal(size=(40, 2))
-    emb = EmbeddingPair(source=source, target=target)
-    labels = assign_clusters(emb, 2, seed=0)
+    labels = assign_clusters(source, target, 2, seed=0)
     truth = np.array([0] * 20 + [1] * 20)
     assert nmi(labels, truth) == 1.0
 
 
 def test_assign_clusters_k1_and_equivariance():
     rng = np.random.default_rng(5)
-    emb = EmbeddingPair(source=rng.normal(size=(10, 3)),
-                        target=rng.normal(size=(10, 3)))
-    assert np.all(assign_clusters(emb, 1, seed=0) == 0)
+    source, target = rng.normal(size=(10, 3)), rng.normal(size=(10, 3))
+    assert np.all(assign_clusters(source, target, 1, seed=0) == 0)
 
     # equivariance needs an unambiguous optimum: use separated blobs
     centers = np.array([[10.0, 0.0], [-10.0, 0.0], [0.0, 10.0]])
     truth = np.repeat(np.arange(3), 8)
     pts = centers[truth] + 0.05 * rng.normal(size=(24, 2))
-    emb2 = EmbeddingPair(source=pts, target=pts)
-    base = assign_clusters(emb2, 3, seed=0)
+    base = assign_clusters(pts, pts, 3, seed=0)
     perm = rng.permutation(24)
-    permuted = EmbeddingPair(source=emb2.source[perm],
-                             target=emb2.target[perm])
-    relabeled = assign_clusters(permuted, 3, seed=0)
+    relabeled = assign_clusters(pts[perm], pts[perm], 3, seed=0)
     # same partition up to cluster naming
     assert nmi(relabeled, base[perm]) == 1.0

@@ -8,8 +8,8 @@ from hencler.graphio import AttributedGraph, random_walk_pe
 from hencler.loss import EPS_DEG, EdgeSample, _build_degrees, \
     _build_edge_rec, _build_node_rec, _build_wksvd, build_total_loss, \
     sample_edges
-from hencler.model import EmbeddingPair, ModelDims, SimilarityFactor, \
-    init_params, map_features, node_decoder, project, projections
+from hencler.model import ModelDims, SimilarityFactor, init_params, \
+    map_features, node_decoder, projections
 from conftest import tiny_graph
 
 
@@ -37,8 +37,9 @@ def wksvd_value(sf, proj_src, proj_dst):
 
 
 def edge_rec_value(emb, params, sample):
-    """The edge-reconstruction builder on fixed embeddings."""
-    return float(_build_edge_rec(params.leaves(), emb.source, emb.target,
+    """The edge-reconstruction builder on a fixed (source, target) pair."""
+    source, target = emb
+    return float(_build_edge_rec(params.leaves(), source, target,
                                  sample).value)
 
 
@@ -228,15 +229,13 @@ def make_edge_setup(seed, n=6, d_f=4, s=3):
     g = tiny_graph(num_nodes=n, d_x=3, seed=seed)
     dims = ModelDims(d_x=3, k_pe=2, hidden=5, d_f=d_f, s=s)
     params = init_params(dims, seed=seed)
-    emb = EmbeddingPair(source=rng.normal(size=(n, s)),
-                        target=rng.normal(size=(n, s)))
+    emb = (rng.normal(size=(n, s)), rng.normal(size=(n, s)))
     return g, params, emb
 
 
 def test_edge_rec_uniform_probabilities_give_ln2():
     g, params, emb = make_edge_setup(9)
-    zero_emb = EmbeddingPair(source=np.zeros_like(emb.source),
-                             target=np.zeros_like(emb.target))
+    zero_emb = tuple(np.zeros_like(side) for side in emb)
     sample = sample_edges(g, seed=0)
     assert edge_rec_value(zero_emb, params, sample) == pytest.approx(
         np.log(2.0))
@@ -267,12 +266,13 @@ def test_edge_rec_saturated_logits_stay_finite_with_gradient():
 def bce_scalar_loop(emb, params, sample):
     """Mean binary cross-entropy of the dot-product decoder, pair by pair,
     as log(1 + e^x) - y x in the form that is exact at any logit x."""
+    source, target = emb
     cross = params.arrays["proj_src"].T @ params.arrays["proj_dst"]
     total = 0.0
     pairs = np.concatenate([sample.positives, sample.negatives])
     labels = [1.0] * len(sample.positives) + [0.0] * len(sample.negatives)
     for (u, v), y in zip(pairs, labels):
-        x = float(emb.source[u] @ cross @ emb.target[v])
+        x = float(source[u] @ cross @ target[v])
         total += max(x, 0.0) - y * x + math.log1p(math.exp(-abs(x)))
     return total / len(pairs)
 
@@ -290,15 +290,14 @@ def test_edge_rec_decreases_toward_labels():
     params = init_params(dims, seed=0)
     params.arrays["proj_src"] = np.eye(2)
     params.arrays["proj_dst"] = np.eye(2)
-    emb = EmbeddingPair(source=np.array([[0.3, 0.1], [0.2, -0.4]]),
-                        target=np.array([[0.5, 0.2], [-0.1, 0.6]]))
+    source = np.array([[0.3, 0.1], [0.2, -0.4]])
+    target = np.array([[0.5, 0.2], [-0.1, 0.6]])
     sample = EdgeSample(positives=np.array([[0, 0]]),
                         negatives=np.array([[1, 1]]))
-    base = edge_rec_value(emb, params, sample)
-    improved = emb.source.copy()
-    improved[0] += 0.5 * emb.target[0]  # raise the positive pair's logit
-    assert edge_rec_value(EmbeddingPair(improved, emb.target), params,
-                          sample) < base
+    base = edge_rec_value((source, target), params, sample)
+    improved = source.copy()
+    improved[0] += 0.5 * target[0]  # raise the positive pair's logit
+    assert edge_rec_value((improved, target), params, sample) < base
 
 
 def builder_inputs(seed=13, n=9):
@@ -348,11 +347,12 @@ def test_builder_components_match_public_ops():
     parts = build_total_loss(params.leaves(), x_aug, g.features, sample)
 
     sf = map_features(g, pe, params)
-    emb = project(sf, params)
+    emb = tuple(side.value for side in projections(params.leaves(), sf.source,
+                                                   sf.target))
     want_wksvd = wksvd_bruteforce(sf, params.arrays["proj_src"],
                                   params.arrays["proj_dst"])
     assert float(parts["wksvd"].value) == pytest.approx(want_wksvd, rel=1e-10)
-    recon = node_decoder(params.leaves(), emb.source, emb.target).value
+    recon = node_decoder(params.leaves(), *emb).value
     want_node = node_rec_oracle(recon, g.features)
     assert float(parts["node_rec"].value) == pytest.approx(want_node,
                                                            rel=1e-10)

@@ -7,7 +7,7 @@ from hencler import gradients as ad
 from hencler.graphio import random_walk_pe
 from hencler.model import CheckpointError, HenclerParams, ModelDims, \
     edge_logits, feature_maps, init_params, load_checkpoint, map_features, \
-    node_decoder, project, save_checkpoint, similarity_matrix
+    node_decoder, projections, save_checkpoint, similarity_matrix
 from conftest import tiny_graph
 
 LEAKY = 0.01
@@ -30,6 +30,12 @@ def make_model(g, k_pe=3, hidden=10, d_f=7, s=4, seed=0, tied=False):
     pe = random_walk_pe(g, k_pe)
     dims = ModelDims(d_x=g.feature_dim, k_pe=k_pe, hidden=hidden, d_f=d_f, s=s)
     return pe, init_params(dims, seed=seed, tied=tied)
+
+
+def embed(sf, params):
+    """(source, target) embeddings of fixed factors, as plain arrays."""
+    src_emb, dst_emb = projections(params.leaves(), sf.source, sf.target)
+    return src_emb.value, dst_emb.value
 
 
 def test_zero_weights_give_constant_rows():
@@ -123,19 +129,19 @@ def test_project_trivial_and_oracle():
     sf = map_features(g, pe, params)
 
     params.arrays["proj_src"] = np.zeros((5, 3))
-    emb = project(sf, params)
-    np.testing.assert_array_equal(emb.source, np.zeros((6, 3)))
+    source, _ = embed(sf, params)
+    np.testing.assert_array_equal(source, np.zeros((6, 3)))
 
     params.arrays["proj_src"] = np.eye(5)[:, :3]
-    emb = project(sf, params)
-    np.testing.assert_allclose(emb.source, sf.source[:, :3], atol=1e-14)
+    source, _ = embed(sf, params)
+    np.testing.assert_allclose(source, sf.source[:, :3], atol=1e-14)
 
     rng = np.random.default_rng(8)
     params.arrays["proj_src"] = rng.normal(size=(5, 3))
-    emb = project(sf, params)
-    np.testing.assert_allclose(emb.source, sf.source @ params.arrays["proj_src"],
+    source, target = embed(sf, params)
+    np.testing.assert_allclose(source, sf.source @ params.arrays["proj_src"],
                                atol=1e-13)
-    np.testing.assert_allclose(emb.target, sf.target @ params.arrays["proj_dst"],
+    np.testing.assert_allclose(target, sf.target @ params.arrays["proj_dst"],
                                atol=1e-13)
 
 
@@ -143,21 +149,21 @@ def test_node_decoder_zero_weights_and_oracle():
     g = tiny_graph(num_nodes=7, d_x=4, seed=10)
     pe, params = make_model(g, d_f=5, s=3, seed=11)
     sf = map_features(g, pe, params)
-    emb = project(sf, params)
+    source, target = embed(sf, params)
 
     zeroed = HenclerParams(dims=params.dims,
                            arrays={k: v.copy() for k, v in params.arrays.items()})
     for key in ("rec.w1", "rec.b1", "rec.w2"):
         zeroed.arrays[key] = np.zeros_like(zeroed.arrays[key])
     zeroed.arrays["rec.b2"] = np.arange(4.0)
-    recon = node_decoder(zeroed.leaves(), emb.source, emb.target).value
+    recon = node_decoder(zeroed.leaves(), source, target).value
     np.testing.assert_allclose(recon, np.tile(np.arange(4.0), (7, 1)),
                                atol=1e-14)
 
     # straight-line oracle
-    recon = node_decoder(params.leaves(), emb.source, emb.target).value
-    joined = np.hstack([emb.source @ params.arrays["proj_src"].T,
-                        emb.target @ params.arrays["proj_dst"].T])
+    recon = node_decoder(params.leaves(), source, target).value
+    joined = np.hstack([source @ params.arrays["proj_src"].T,
+                        target @ params.arrays["proj_dst"].T])
     h = joined @ params.arrays["rec.w1"] + params.arrays["rec.b1"]
     h = np.where(h >= 0, h, LEAKY * h)
     want = h @ params.arrays["rec.w2"] + params.arrays["rec.b2"]
@@ -182,9 +188,9 @@ def test_edge_logits_cases():
 def test_edge_logits_are_asymmetric_in_general():
     g = tiny_graph(num_nodes=6, d_x=4, seed=12)
     pe, params = make_model(g, seed=13)
-    emb = project(map_features(g, pe, params), params)
+    source, target = embed(map_features(g, pe, params), params)
     src, dst = np.divmod(np.arange(36), 6)
-    logits = edge_logits(params.leaves(), emb.source, emb.target, src, dst)
+    logits = edge_logits(params.leaves(), source, target, src, dst)
     logits = logits.value.reshape(6, 6)
     assert np.max(np.abs(logits - logits.T)) > 1e-6  # asymmetry witness
 
@@ -200,9 +206,9 @@ def test_embedding_shapes_follow_config():
     for n in (3, 9):
         g = tiny_graph(num_nodes=n, d_x=4, seed=n)
         pe, params = make_model(g, s=4)
-        emb = project(map_features(g, pe, params), params)
-        assert emb.source.shape == (n, 4)
-        assert emb.target.shape == (n, 4)
+        source, target = embed(map_features(g, pe, params), params)
+        assert source.shape == (n, 4)
+        assert target.shape == (n, 4)
 
 
 def test_checkpoint_roundtrip(tmp_path):

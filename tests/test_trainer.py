@@ -5,7 +5,9 @@ import pytest
 
 from hencler import gradients as ad
 from hencler import trainer
+from hencler.graphio import random_walk_pe
 from hencler.linalg import kmeans
+from hencler.model import feature_maps, projections
 from hencler.synthetic import heterophilous_blobs, random_sparse_graph
 from hencler.trainer import AdamState, TrainConfig, TrainingDiverged, \
     optimizer_step, train
@@ -61,6 +63,23 @@ def test_tie_maps_trains_single_mlp():
     params, _ = train(g, small_config(tie_maps=True))
     assert params.tied
     assert not any(k.startswith("dst.") for k in params.arrays)
+
+
+@pytest.mark.parametrize("eval_every", [1, 0], ids=["tracked", "untracked"])
+def test_record_embeddings_are_the_returned_parameters_forward(eval_every):
+    """The record carries the final embeddings: the forward of the returned
+    parameters, bit for bit, whether the last epoch is tracked or not."""
+    g = heterophilous_blobs(num_nodes=20, num_classes=2, avg_degree=4,
+                            feature_dim=6, seed=11)
+    pe = random_walk_pe(g, 4)
+    params, record = train(g, small_config(eval_every=eval_every), pe=pe)
+    ps = params.leaves()
+    want = projections(ps, *feature_maps(ps, np.hstack([g.features, pe])))
+    assert len(record.embeddings) == 2
+    for got, expected in zip(record.embeddings, want):
+        assert got.shape == (20, 4)  # s = 2 * num_clusters
+        np.testing.assert_array_equal(got, expected.value)
+    assert "embeddings" not in record.to_dict()
 
 
 def leaf(value):
