@@ -24,9 +24,9 @@ from .dual import bicluster, eigen_form_check, stationarity_residual
 from .evaluate import assign_clusters, nmi
 from .graphio import AttributedGraph, GraphFormatError, load_graph, \
     random_walk_pe
-from .model import CheckpointError, ModelDims, init_params, \
-    load_checkpoint, map_features, save_checkpoint, similarity_matrix
-from .synthetic import planted_block_similarity, random_sparse_graph
+from .model import CheckpointError, load_checkpoint, map_features, \
+    save_checkpoint, similarity_matrix
+from .synthetic import random_sparse_graph
 from .trainer import TrainConfig, train
 
 __all__ = ["main", "run_benchmark", "ConfigError", "GuardExceeded"]
@@ -247,48 +247,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _write_oracle(out_dir: Path, rows, cols) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_assignment(out_dir / "row_clusters.csv", rows)
-    _write_assignment(out_dir / "col_clusters.csv", cols)
-
-
 def cmd_oracle(args) -> int:
     out_dir = Path(args.output_dir or "hencler_oracle")
     seed = _resolve_seed(args.seed)
-    if not (np.isfinite(args.noise) and args.noise >= 0):
-        raise ConfigError(f"--noise must be finite and >= 0, got {args.noise}")
-
-    if args.synthetic == "blocks":
-        sizes = _sizes(args.block_sizes, "--block-sizes")
-        sim, labels = planted_block_similarity(sizes, noise=args.noise,
-                                               seed=seed)
-        rows, cols, solution = bicluster(sim, k=len(sizes), seed=seed)
-        row_nmi = nmi(rows, labels)
-        col_nmi = nmi(cols, labels)
-        print(f"planted blocks: row NMI {row_nmi:.4f}  col NMI {col_nmi:.4f}")
-        _write_oracle(out_dir, rows, cols)
-        return EXIT_OK
-
-    if args.config is None:
-        raise ConfigError("oracle needs --config (or --synthetic blocks)")
     doc = load_config(args.config)
     g = _load_dataset(doc)
     config = _train_config(doc, g, {})
-    if args.checkpoint:
-        params = load_checkpoint(args.checkpoint)
-        pe = _positional_encoding(g, config.k_pe,
-                                  Path(args.checkpoint).parent)
-    else:
-        dims = ModelDims(d_x=g.feature_dim, k_pe=config.k_pe,
-                         hidden=config.hidden, d_f=config.d_f,
-                         s=config.latent_dim)
-        params = init_params(dims, seed=seed, tied=config.tie_maps)
-        pe = random_walk_pe(g, config.k_pe)
+    params = load_checkpoint(args.checkpoint)
     if config.num_clusters > params.dims.d_f:
         raise ConfigError(
             f"num_clusters {config.num_clusters} exceeds the model's d_f "
             f"{params.dims.d_f}: the learned similarity has rank at most d_f")
+    pe = _positional_encoding(g, config.k_pe, Path(args.checkpoint).parent)
     sf = map_features(g, pe, params)
     rows, cols, solution = bicluster(sf, k=config.num_clusters, seed=seed)
     residuals = {
@@ -302,7 +272,9 @@ def cmd_oracle(args) -> int:
         print(f"row NMI {report['row_nmi']:.4f}  col NMI {report['col_nmi']:.4f}")
     print(f"stationarity residual {residuals['stationarity']:.3e}  "
           f"eigen-form residual {residuals['eigen_form']:.3e}")
-    _write_oracle(out_dir, rows, cols)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_assignment(out_dir / "row_clusters.csv", rows)
+    _write_assignment(out_dir / "col_clusters.csv", cols)
     (out_dir / "oracle.json").write_text(json.dumps(report, indent=1),
                                          encoding="utf-8")
     return EXIT_OK
@@ -427,13 +399,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_oracle = sub.add_parser("oracle",
-                              help="exact dual solve on the factored "
-                                   "similarity")
-    p_oracle.add_argument("--config")
-    p_oracle.add_argument("--checkpoint", default=None)
-    p_oracle.add_argument("--synthetic", choices=["blocks"], default=None)
-    p_oracle.add_argument("--block-sizes", default="10,10,10")
-    p_oracle.add_argument("--noise", type=float, default=0.01)
+                              help="exact dual solve on a checkpoint's "
+                                   "factored similarity")
+    p_oracle.add_argument("--config", required=True)
+    p_oracle.add_argument("--checkpoint", required=True)
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.add_argument("--output-dir", default=None)
     p_oracle.set_defaults(func=cmd_oracle)

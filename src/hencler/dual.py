@@ -186,16 +186,16 @@ def stationarity_residual(sf: SimilarityFactor, solution: DualSolution,
     return max(res_e, res_r)
 
 
-def eigen_form_check(similarity, solution: DualSolution,
-                     w1=None, w2=None) -> float:
-    """Relative residual of the block eigenvalue system of the weighted SVD.
+def eigen_form_check(similarity, solution: DualSolution) -> float:
+    """Relative residual of the block eigenvalue system of the SVD weighted
+    by w1 = 1/d1 and w2 = 1/d2, the inverse degrees of S.
 
     `similarity` is a `SimilarityFactor` or a dense matrix; a factored one
     is applied as sqrt(w1) Phi (Psi^T (sqrt(w2) h)) without forming S.
     """
     s = _float64(similarity)
-    w1, w2 = _weights(s, w1, w2)
-    weighted = _scaled(s, np.sqrt(w1), np.sqrt(w2))
+    d1, d2 = _degree_weights(s)
+    weighted = _scaled(s, np.sqrt(1.0 / d1), np.sqrt(1.0 / d2))
     h_e, h_r = solution.left_vectors, solution.right_vectors
     sing = solution.singular_values
     if isinstance(weighted, SimilarityFactor):

@@ -80,8 +80,7 @@ def planted_block_similarity(block_sizes, noise: float = 0.01, seed: int = 0
     """Square block-diagonal all-ones similarity with uniform off-block noise.
 
     Returns (matrix, block labels); rows and columns share the layout. The
-    matrix is dense, n x n for n = sum(block_sizes), so `oracle --synthetic
-    blocks` holds it and takes its dense SVD: O(n^2) memory, O(n^3) time.
+    matrix is dense, n x n for n = sum(block_sizes).
     """
     rng = np.random.default_rng(seed)
     total = int(np.sum(block_sizes))

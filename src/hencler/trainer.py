@@ -213,40 +213,45 @@ def train(g: AttributedGraph, config: TrainConfig,
         record.track(epoch, nmi_score(assignment, g.labels),
                      pairwise_f1(assignment, g.labels))
 
-    # A tracked epoch is scored on the embeddings of the next epoch's
-    # forward: the parameters are the ones its step left, and batchnorm is
-    # in train mode both times, so a separate forward gives the same bits.
-    pending = None
-    for epoch in range(config.epochs):
-        sample = (sample_edges(g, int(sample_rng.integers(2 ** 63)))
-                  if needs_edges else None)
+    # Overflow surfaces only as the ops' NonFiniteError, which names the
+    # epoch; numpy's warnings would repeat it, or under -W error replace it
+    # with a bare message.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A tracked epoch is scored on the embeddings of the next epoch's
+        # forward: the parameters are the ones its step left, and batchnorm
+        # is in train mode both times, so a separate forward gives the same
+        # bits.
+        pending = None
+        for epoch in range(config.epochs):
+            sample = (sample_edges(g, int(sample_rng.integers(2 ** 63)))
+                      if needs_edges else None)
+            try:
+                parts = build_total_loss(ps, x_aug, g.features, sample,
+                                         mode=config.loss)
+                if pending is not None:
+                    track(pending, *(emb.value for emb in parts.embeddings))
+                grads = ad.backward(parts["total"], wrt=ps)
+                entry = {"epoch": epoch, "total": float(parts["total"].value)}
+                for key in ("wksvd", "node_rec", "edge_rec"):
+                    if key in parts:
+                        entry[key] = float(parts[key].value)
+                record.epoch_losses.append(entry)
+                optimizer_step(ps, grads, state, config.learning_rate)
+                _project_unit_columns(ps)
+            except ad.NonFiniteError as exc:
+                raise TrainingDiverged(
+                    f"non-finite loss at epoch {epoch}: {exc}") from exc
+            pending = (epoch if config.eval_every > 0
+                       and (epoch + 1) % config.eval_every == 0 else None)
+        parts = grads = None  # release the last epoch's tape
         try:
-            parts = build_total_loss(ps, x_aug, g.features, sample,
-                                     mode=config.loss)
+            record.embeddings = _eval_embeddings(ps, x_aug)
             if pending is not None:
-                track(pending, *(emb.value for emb in parts.embeddings))
-            grads = ad.backward(parts["total"], wrt=ps)
-            entry = {"epoch": epoch, "total": float(parts["total"].value)}
-            for key in ("wksvd", "node_rec", "edge_rec"):
-                if key in parts:
-                    entry[key] = float(parts[key].value)
-            record.epoch_losses.append(entry)
-            optimizer_step(ps, grads, state, config.learning_rate)
-            _project_unit_columns(ps)
+                track(pending, *record.embeddings)
         except ad.NonFiniteError as exc:
             raise TrainingDiverged(
-                f"non-finite loss at epoch {epoch}: {exc}") from exc
-        pending = (epoch if config.eval_every > 0
-                   and (epoch + 1) % config.eval_every == 0 else None)
-    parts = grads = None  # release the last epoch's tape
-    try:
-        record.embeddings = _eval_embeddings(ps, x_aug)
-        if pending is not None:
-            track(pending, *record.embeddings)
-    except ad.NonFiniteError as exc:
-        raise TrainingDiverged(
-            f"non-finite forward after the last epoch ({config.epochs - 1}): "
-            f"{exc}") from exc
+                f"non-finite forward after the last epoch "
+                f"({config.epochs - 1}): {exc}") from exc
 
     record.wall_time_s = time.perf_counter() - started
     return params, record
