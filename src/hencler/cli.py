@@ -1,8 +1,11 @@
 """Command-line surface: train, oracle, benchmark, export-similarity.
 
 Exit codes: 0 success, 1 runtime/numeric failure, 2 config/parse error,
-3 guard violation. The HENCLER_SEED environment variable overrides the
-configured seed for every command.
+3 guard violation. `train` seeds from the config's `seed`; `oracle` and
+`benchmark` seed from `--seed` (default 0) and never read the config's
+`seed`, so `oracle` on a model's own config clusters with seed 0 unless
+`--seed` is given. The HENCLER_SEED environment variable overrides the seed
+of all three.
 """
 
 from __future__ import annotations
@@ -122,8 +125,8 @@ def _train_config(doc: dict, g: AttributedGraph, overrides: dict) -> TrainConfig
 def _pe_path(directory: Path, g: AttributedGraph, k_pe: int) -> Path:
     """`pe-<sha256>.npy` in `directory`, keyed by everything the walk
     operators depend on: the node count, `k_pe` and the edge list. The
-    `directed` flag is not part of the key, because an undirected graph's
-    edges already hold both orientations."""
+    `directed` config key is not part of the key, because an undirected
+    graph's edges already hold both orientations."""
     digest = hashlib.sha256(PE_FORMAT)
     digest.update(np.array([g.num_nodes, k_pe], dtype=np.int64).tobytes())
     digest.update(np.ascontiguousarray(g.edges, dtype=np.int64).tobytes())

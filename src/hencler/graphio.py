@@ -1,8 +1,9 @@
 """Attributed-graph ingestion, validation, and random-walk positional encodings.
 
-File formats: TSV throughout. Edge file has one "src<TAB>dst" pair per line
-(0-based indices, '#' comments ignored), the feature file one row of reals
-per node, the label file one integer class per line.
+File formats: TSV throughout, 0-based node indices. The edge file has one
+"src<TAB>dst" pair per line, the feature file one tab-separated row of reals
+per node, the label file one integer class per line. All three skip blank
+lines and lines whose first non-blank character is '#'.
 """
 
 from __future__ import annotations
@@ -31,17 +32,20 @@ class GraphFormatError(ValueError):
 
 @dataclass(frozen=True)
 class AttributedGraph:
-    """Node features plus a deduplicated directed edge list.
+    """Node features, optional class labels and a deduplicated edge list.
 
-    For undirected graphs both orientations of every edge are stored.
+    The counts are read off the arrays. Whether the graph is undirected is
+    a property of its edges: a symmetrized graph stores both orientations
+    of every edge.
     """
 
-    num_nodes: int
-    directed: bool
     edges: np.ndarray  # (E, 2) int64, validated indices
     features: np.ndarray  # (num_nodes, d_x) float64
     labels: np.ndarray | None = None  # (num_nodes,) int64
-    num_classes: int | None = None
+
+    @property
+    def num_nodes(self) -> int:
+        return self.features.shape[0]
 
     @property
     def num_edges(self) -> int:
@@ -51,6 +55,11 @@ class AttributedGraph:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
+    @property
+    def num_classes(self) -> int | None:
+        """Number of distinct labels, or None for an unlabeled graph."""
+        return None if self.labels is None else np.unique(self.labels).size
+
 
 def _dedup(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     """Distinct edges in (src, dst) order, sorted as one int64 key each."""
@@ -58,28 +67,33 @@ def _dedup(edges: np.ndarray, num_nodes: int) -> np.ndarray:
     return np.stack(np.divmod(keys, num_nodes), axis=1)
 
 
-def _parse_features(path: Path) -> np.ndarray:
-    rows: list[list[float]] = []
-    width = None
+def _data_lines(path: Path):
+    """Yield (line number, text without its newline) for every line of
+    `path` that is neither blank nor a '#' comment."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            try:
-                values = [float(p) for p in parts]
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: malformed feature value ({exc})") from exc
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(values)}")
-            if not all(np.isfinite(values)):
-                raise GraphFormatError(f"{path}:{lineno}: non-finite feature value")
-            rows.append(values)
+            if line.strip() and not line.lstrip().startswith("#"):
+                yield lineno, line
+
+
+def _parse_features(path: Path) -> np.ndarray:
+    rows: list[list[float]] = []
+    width = None
+    for lineno, line in _data_lines(path):
+        try:
+            values = [float(p) for p in line.split("\t")]
+        except ValueError as exc:
+            raise GraphFormatError(
+                f"{path}:{lineno}: malformed feature value ({exc})") from exc
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise GraphFormatError(
+                f"{path}:{lineno}: expected {width} columns, got {len(values)}")
+        if not all(np.isfinite(values)):
+            raise GraphFormatError(f"{path}:{lineno}: non-finite feature value")
+        rows.append(values)
     if not rows:
         raise GraphFormatError(f"{path}: no feature rows found")
     return np.asarray(rows, dtype=np.float64)
@@ -87,25 +101,21 @@ def _parse_features(path: Path) -> np.ndarray:
 
 def _parse_edges(path: Path, num_nodes: int) -> np.ndarray:
     pairs: list[tuple[int, int]] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: expected 'src<TAB>dst', got {line!r}")
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: malformed node index ({exc})") from exc
-            if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
-                raise GraphFormatError(
-                    f"{path}:{lineno}: node index out of range [0, {num_nodes}) "
-                    f"in edge {src}->{dst}")
-            pairs.append((src, dst))
+    for lineno, line in _data_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise GraphFormatError(
+                f"{path}:{lineno}: expected 'src<TAB>dst', got {line!r}")
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise GraphFormatError(
+                f"{path}:{lineno}: malformed node index ({exc})") from exc
+        if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
+            raise GraphFormatError(
+                f"{path}:{lineno}: node index out of range [0, {num_nodes}) "
+                f"in edge {src}->{dst}")
+        pairs.append((src, dst))
     if not pairs:
         raise GraphFormatError(f"{path}: no edges found")
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -113,19 +123,15 @@ def _parse_edges(path: Path, num_nodes: int) -> np.ndarray:
 
 def _parse_labels(path: Path, num_nodes: int) -> np.ndarray:
     labels: list[int] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                value = int(line)
-            except ValueError as exc:
-                raise GraphFormatError(
-                    f"{path}:{lineno}: malformed class index ({exc})") from exc
-            if value < 0:
-                raise GraphFormatError(f"{path}:{lineno}: negative class index")
-            labels.append(value)
+    for lineno, line in _data_lines(path):
+        try:
+            value = int(line.strip())
+        except ValueError as exc:
+            raise GraphFormatError(
+                f"{path}:{lineno}: malformed class index ({exc})") from exc
+        if value < 0:
+            raise GraphFormatError(f"{path}:{lineno}: negative class index")
+        labels.append(value)
     if len(labels) != num_nodes:
         raise GraphFormatError(
             f"{path}: {len(labels)} labels for {num_nodes} nodes")
@@ -136,20 +142,15 @@ def load_graph(edge_path, feature_path, label_path=None,
                directed: bool = True) -> AttributedGraph:
     """Load and validate an attributed graph from TSV files.
 
-    Undirected inputs are symmetrized (both orientations stored) and
-    duplicate edges are collapsed.
+    Duplicate edges are collapsed. With `directed` false the graph is
+    symmetrized (both orientations stored).
     """
     features = _parse_features(Path(feature_path))
     num_nodes = features.shape[0]
     edges = _dedup(_parse_edges(Path(edge_path), num_nodes), num_nodes)
-    labels = None
-    num_classes = None
-    if label_path is not None:
-        labels = _parse_labels(Path(label_path), num_nodes)
-        num_classes = int(labels.max()) + 1
-    g = AttributedGraph(num_nodes=num_nodes, directed=True, edges=edges,
-                        features=features, labels=labels,
-                        num_classes=num_classes)
+    labels = (None if label_path is None
+              else _parse_labels(Path(label_path), num_nodes))
+    g = AttributedGraph(edges, features, labels)
     return g if directed else symmetrize(g)
 
 
@@ -160,9 +161,7 @@ def symmetrize(g: AttributedGraph) -> AttributedGraph:
                        g.num_nodes)
     else:
         edges = g.edges
-    return AttributedGraph(num_nodes=g.num_nodes, directed=False, edges=edges,
-                           features=g.features, labels=g.labels,
-                           num_classes=g.num_classes)
+    return AttributedGraph(edges, g.features, g.labels)
 
 
 def edge_homophily(g: AttributedGraph) -> float:

@@ -55,10 +55,7 @@ def heterophilous_blobs(num_nodes: int = 300, num_classes: int = 3,
         dsts.extend(picks.tolist())
     edges = np.stack([np.asarray(srcs, dtype=np.int64),
                       np.asarray(dsts, dtype=np.int64)], axis=1)
-    g = AttributedGraph(num_nodes=num_nodes, directed=True, edges=edges,
-                        features=features, labels=labels,
-                        num_classes=num_classes)
-    return symmetrize(g)
+    return symmetrize(AttributedGraph(edges, features, labels))
 
 
 def random_sparse_graph(num_nodes: int, avg_degree: float = 8.0,
@@ -71,8 +68,7 @@ def random_sparse_graph(num_nodes: int, avg_degree: float = 8.0,
     keep = src != dst
     edges = np.unique(np.stack([src[keep], dst[keep]], axis=1), axis=0)
     features = rng.normal(size=(num_nodes, feature_dim))
-    return AttributedGraph(num_nodes=num_nodes, directed=True, edges=edges,
-                           features=features)
+    return AttributedGraph(edges, features)
 
 
 def planted_block_similarity(block_sizes, noise: float = 0.01, seed: int = 0

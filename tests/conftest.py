@@ -9,7 +9,7 @@ def rng():
     return np.random.default_rng(0)
 
 
-def tiny_graph(num_nodes=6, d_x=4, seed=0, directed=True, with_labels=True):
+def tiny_graph(num_nodes=6, d_x=4, seed=0, with_labels=True):
     """Small random attributed graph with at least one edge per node."""
     rng = np.random.default_rng(seed)
     edges = []
@@ -21,7 +21,4 @@ def tiny_graph(num_nodes=6, d_x=4, seed=0, directed=True, with_labels=True):
     edges.extend((int(a), int(b)) for a, b in extra if a != b)
     edges = np.unique(np.asarray(edges, dtype=np.int64), axis=0)
     labels = rng.integers(0, 2, size=num_nodes) if with_labels else None
-    return AttributedGraph(
-        num_nodes=num_nodes, directed=directed, edges=edges,
-        features=rng.normal(size=(num_nodes, d_x)),
-        labels=labels, num_classes=2 if with_labels else None)
+    return AttributedGraph(edges, rng.normal(size=(num_nodes, d_x)), labels)

@@ -63,6 +63,23 @@ def test_train_writes_all_artifacts(tmp_path, dataset, capsys):
     assert len(lines) == 25
 
 
+@pytest.mark.parametrize("shift,scale", [(1, 1), (0, 2)],
+                         ids=["one-based", "gap"])
+def test_inferred_num_clusters_counts_distinct_classes(tmp_path, dataset,
+                                                       shift, scale):
+    """Without `num_clusters`, train uses the number of distinct classes in
+    the label file, whatever their ids: {1, 2} and {0, 2} both give 2."""
+    g, _, _, label_path = dataset
+    label_path.write_text("".join(f"{y * scale + shift}\n" for y in g.labels))
+    config = write_config(tmp_path, dataset, epochs=1)
+    doc = json.loads(config.read_text())
+    del doc["num_clusters"]
+    config.write_text(json.dumps(doc))
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
+    assert metrics["config"]["num_clusters"] == 2
+
+
 def test_train_roundtrip_outputs(tmp_path, dataset):
     g, edge_path, feat_path, label_path = dataset
     config = write_config(tmp_path, dataset)

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import sys
 
@@ -89,6 +90,49 @@ def test_comments_and_duplicates(tmp_path):
     assert g.num_edges == 2  # duplicates collapse, both orientations kept
 
 
+def test_three_files_share_line_rules(tmp_path):
+    """CRLF line ends, '#' lines (indented or not) and whitespace-only lines
+    are read alike in the edge, feature and label files, and an error
+    names the physical line."""
+    clean = {"edges": ["0\t1", "1\t2"],
+             "features": ["0.5\t1.0", "2.0\t-1.5", "3.0\t0.25"],
+             "labels": ["1", "0", "2"]}
+    noise = ["# header", "   # indented", " \t "]
+
+    def write(rows, prefix, newline="\n"):
+        paths = []
+        for name in ("edges", "features", "labels"):
+            path = tmp_path / f"{prefix}{name}.tsv"
+            path.write_bytes(newline.join(rows[name] + [""]).encode())
+            paths.append(path)
+        return paths
+
+    plain = load_graph(*write(clean, "clean-"))
+    noisy = load_graph(*write({k: noise + v[:1] + noise + v[1:]
+                               for k, v in clean.items()}, "noisy-", "\r\n"))
+    for field in ("edges", "features", "labels"):
+        np.testing.assert_array_equal(getattr(noisy, field),
+                                      getattr(plain, field))
+    bad = {"edges": "0\tx", "features": "0.5\tx", "labels": "x"}
+    for name, value in bad.items():
+        rows = {k: noise + v for k, v in clean.items()}
+        rows[name] = noise + [value] + clean[name][1:]
+        with pytest.raises(GraphFormatError, match=rf"{name}\.tsv:4: "):
+            load_graph(*write(rows, "bad-", "\r\n"))
+
+
+def test_graph_is_its_edges_features_and_labels():
+    fields = [f.name for f in dataclasses.fields(AttributedGraph)]
+    assert fields == ["edges", "features", "labels"]
+    g = AttributedGraph(np.array([[0, 1]]), np.zeros((4, 3)),
+                        np.array([1, 2, 2, 1]))
+    assert (g.num_nodes, g.num_edges, g.feature_dim) == (4, 1, 3)
+    assert g.num_classes == 2  # distinct labels, not max + 1
+    assert AttributedGraph(g.edges, g.features).num_classes is None
+    with pytest.raises(TypeError):  # the old (num_nodes, directed, ...) call
+        AttributedGraph(4, True, g.edges, g.features)
+
+
 def test_dedup_matches_unique_rows(rng):
     for n, count in ((1, 3), (7, 60), (50, 400)):
         edges = rng.integers(0, n, size=(count, 2))
@@ -105,15 +149,14 @@ def test_symmetrize_idempotent(tmp_path):
     once = symmetrize(g)
     twice = symmetrize(once)
     np.testing.assert_array_equal(once.edges, twice.edges)
-    assert not once.directed
+    stored = {tuple(e) for e in once.edges.tolist()}
+    assert all((v, u) in stored for u, v in stored)
 
 
 def test_homophily_hand_cases():
     feats = np.zeros((2, 1))
-    same = AttributedGraph(2, True, np.array([[0, 1]]), feats,
-                           labels=np.array([1, 1]), num_classes=2)
-    diff = AttributedGraph(2, True, np.array([[0, 1]]), feats,
-                           labels=np.array([0, 1]), num_classes=2)
+    same = AttributedGraph(np.array([[0, 1]]), feats, np.array([1, 1]))
+    diff = AttributedGraph(np.array([[0, 1]]), feats, np.array([0, 1]))
     assert edge_homophily(same) == 1.0
     assert edge_homophily(diff) == 0.0
 
@@ -121,8 +164,7 @@ def test_homophily_hand_cases():
 def test_homophily_alternating_cycle():
     # 4-cycle 0-1-2-3-0 with labels 0,1,0,1: every edge crosses classes
     edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
-    g = AttributedGraph(4, True, edges, np.zeros((4, 1)),
-                        labels=np.array([0, 1, 0, 1]), num_classes=2)
+    g = AttributedGraph(edges, np.zeros((4, 1)), np.array([0, 1, 0, 1]))
     assert edge_homophily(g) == 0.0
 
 
@@ -130,30 +172,29 @@ def test_homophily_order_invariant_and_requires_labels(rng):
     edges = rng.integers(0, 10, size=(30, 2))
     edges = edges[edges[:, 0] != edges[:, 1]]
     labels = rng.integers(0, 3, size=10)
-    g1 = AttributedGraph(10, True, edges, np.zeros((10, 1)), labels, 3)
-    g2 = AttributedGraph(10, True, edges[::-1], np.zeros((10, 1)), labels, 3)
+    g1 = AttributedGraph(edges, np.zeros((10, 1)), labels)
+    g2 = AttributedGraph(edges[::-1], np.zeros((10, 1)), labels)
     assert edge_homophily(g1) == edge_homophily(g2)
-    bare = AttributedGraph(10, True, edges, np.zeros((10, 1)))
+    bare = AttributedGraph(edges, np.zeros((10, 1)))
     with pytest.raises(ValueError):
         edge_homophily(bare)
 
 
 def test_pe_directed_two_cycle():
-    g = AttributedGraph(2, True, np.array([[0, 1], [1, 0]]), np.zeros((2, 1)))
+    g = AttributedGraph(np.array([[0, 1], [1, 0]]), np.zeros((2, 1)))
     pe = random_walk_pe(g, 2)
     np.testing.assert_allclose(pe, [[0.0, 1.0], [0.0, 1.0]])
 
 
 def test_pe_isolated_node():
-    g = AttributedGraph(1, True, np.zeros((0, 2), dtype=np.int64),
-                        np.zeros((1, 1)))
+    g = AttributedGraph(np.zeros((0, 2), dtype=np.int64), np.zeros((1, 1)))
     pe = random_walk_pe(g, 3)
     np.testing.assert_array_equal(pe, [[0.0, 0.0, 0.0]])
 
 
 def test_pe_triangle():
     edges = np.array([[0, 1], [1, 0], [1, 2], [2, 1], [0, 2], [2, 0]])
-    g = AttributedGraph(3, False, edges, np.zeros((3, 1)))
+    g = AttributedGraph(edges, np.zeros((3, 1)))
     pe = random_walk_pe(g, 2)
     np.testing.assert_allclose(pe, [[0.0, 0.5]] * 3, atol=1e-14)
 
@@ -162,21 +203,19 @@ def test_pe_entries_in_unit_interval_and_equivariant(rng):
     n = 20
     edges = rng.integers(0, n, size=(60, 2))
     edges = np.unique(edges[edges[:, 0] != edges[:, 1]], axis=0)
-    g = AttributedGraph(n, True, edges, rng.normal(size=(n, 3)))
+    g = AttributedGraph(edges, rng.normal(size=(n, 3)))
     pe = random_walk_pe(g, 5)
     assert np.all(pe >= 0.0) and np.all(pe <= 1.0)
 
     perm = rng.permutation(n)
-    relabeled = AttributedGraph(n, True, perm[g.edges],
-                                g.features[np.argsort(perm)])
+    relabeled = AttributedGraph(perm[g.edges], g.features[np.argsort(perm)])
     # node v in g maps to perm[v]; PE rows must permute identically
     pe_perm = random_walk_pe(relabeled, 5)
     np.testing.assert_allclose(pe_perm[perm], pe, atol=1e-12)
 
 
 def test_pe_self_loop_contributes_to_diagonal():
-    g = AttributedGraph(2, True, np.array([[0, 0], [0, 1], [1, 0]]),
-                        np.zeros((2, 1)))
+    g = AttributedGraph(np.array([[0, 0], [0, 1], [1, 0]]), np.zeros((2, 1)))
     pe = random_walk_pe(g, 1)
     assert pe[0, 0] == pytest.approx(0.5)  # self-loop kept
     assert pe[1, 0] == 0.0
@@ -186,7 +225,7 @@ def test_pe_block_size_independence(rng, monkeypatch):
     n = 30
     edges = rng.integers(0, n, size=(90, 2))
     edges = np.unique(edges[edges[:, 0] != edges[:, 1]], axis=0)
-    g = AttributedGraph(n, True, edges, np.zeros((n, 2)))
+    g = AttributedGraph(edges, np.zeros((n, 2)))
     for graph in (g, symmetrize(g)):
         monkeypatch.setattr(graphio, "PE_BLOCK_SIZE", 7)
         a = random_walk_pe(graph, 4)
@@ -211,16 +250,15 @@ def pe_exactness_graphs(rng):
     edges = rng.integers(0, n, size=(40, 2))
     edges = np.unique(edges[(edges[:, 0] != edges[:, 1]) & (edges[:, 0] != 4)],
                       axis=0)
-    sink = AttributedGraph(n, True, edges, np.zeros((n, 1)))
+    sink = AttributedGraph(edges, np.zeros((n, 1)))
     # undirected with node 12 isolated and a self-loop on node 0
     sym = symmetrize(AttributedGraph(
-        n, False, np.vstack([edges[edges.max(axis=1) < 12], [[0, 0]]]),
-        np.zeros((n, 1))))
-    two_way = AttributedGraph(n, True, sym.edges, np.zeros((n, 1)))
+        np.vstack([edges[edges.max(axis=1) < 12], [[0, 0]]]), np.zeros((n, 1))))
+    two_way = AttributedGraph(sym.edges, np.zeros((n, 1)))
     # complete bipartite K_{4,7} minus a few edges: closed walks are even
     left, right = np.meshgrid(np.arange(4), np.arange(4, 11), indexing="ij")
     half = np.stack([left.ravel(), right.ravel()], axis=1)[3:]
-    bipartite = symmetrize(AttributedGraph(11, False, half, np.zeros((11, 1))))
+    bipartite = symmetrize(AttributedGraph(half, np.zeros((11, 1))))
     return {"sink": sink, "symmetric": sym, "two_way": two_way,
             "bipartite": bipartite}
 

@@ -188,7 +188,7 @@ def test_node_rec_loss_cases():
 
 
 def test_sample_edges_single_edge_forced():
-    g = AttributedGraph(3, True, np.array([[0, 1]]), np.zeros((3, 1)))
+    g = AttributedGraph(np.array([[0, 1]]), np.zeros((3, 1)))
     sample = sample_edges(g, seed=0)
     assert sample.positives.shape == (6, 2)
     np.testing.assert_array_equal(sample.positives,
@@ -197,7 +197,7 @@ def test_sample_edges_single_edge_forced():
 
 def test_sample_negatives_are_non_edges():
     edges = np.array([[0, 1], [1, 2]])
-    g = AttributedGraph(3, True, edges, np.zeros((3, 1)))
+    g = AttributedGraph(edges, np.zeros((3, 1)))
     sample = sample_edges(g, seed=1)
     assert sample.negatives.shape == (6, 2)
     edge_set = {(0, 1), (1, 2)}
@@ -219,7 +219,7 @@ def test_sample_edges_seeded_determinism():
 
 def test_sample_edges_complete_graph_rejected():
     edges = np.array([[u, v] for u in range(3) for v in range(3) if u != v])
-    g = AttributedGraph(3, True, edges, np.zeros((3, 1)))
+    g = AttributedGraph(edges, np.zeros((3, 1)))
     with pytest.raises(ValueError, match="complete"):
         sample_edges(g, seed=0)
 
