@@ -41,6 +41,11 @@ EXIT_GUARD = 3
 
 DENSE_GUARD_NODES = 5000  # materializing S above this needs an explicit override
 PE_FORMAT = b"hencler-pe-exact-1"  # change when random_walk_pe's values change
+BENCH_AVG_DEGREE = 8.0  # of the benchmark's random sparse graphs
+BENCH_K_PE = 8
+# Negative sampling needs a non-edge among the n * (n - 1) ordered pairs,
+# certain only when they outnumber the n * BENCH_AVG_DEGREE sampled edges.
+BENCH_MIN_SIZE = int(BENCH_AVG_DEGREE) + 2
 
 _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 _CONFIG_KEYS = _TRAIN_KEYS | {"edge_path", "feature_path", "label_path",
@@ -105,9 +110,8 @@ def _load_dataset(doc: dict) -> AttributedGraph:
         raise ConfigError(f"cannot read dataset: {exc}") from exc
 
 
-def _train_config(doc: dict, g: AttributedGraph, overrides: dict) -> TrainConfig:
+def _train_config(doc: dict, g: AttributedGraph) -> TrainConfig:
     values = {k: doc[k] for k in _TRAIN_KEYS if k in doc}
-    values.update({k: v for k, v in overrides.items() if v is not None})
     if values.get("num_clusters") is None:
         if g.num_classes is None:
             raise ConfigError("num_clusters missing and no labels to infer it")
@@ -171,15 +175,17 @@ def _positional_encoding(g: AttributedGraph, k_pe: int, directory: Path,
     return pe
 
 
-def _sizes(text: str, option: str) -> list[int]:
-    """Parse a comma-separated list of integers that are all >= 1."""
+def _sizes(text: str) -> list[int]:
+    """Parse `--sizes`: comma-separated integers, all >= BENCH_MIN_SIZE."""
     try:
         sizes = [int(x) for x in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"{option} must be comma-separated integers, "
+        raise ConfigError(f"--sizes must be comma-separated integers, "
                           f"got {text!r}") from exc
-    if min(sizes) < 1:
-        raise ConfigError(f"{option} must all be >= 1, got {text!r}")
+    if min(sizes) < BENCH_MIN_SIZE:
+        raise ConfigError(f"--sizes must all be >= {BENCH_MIN_SIZE}, got "
+                          f"{text!r}: smaller benchmark graphs may leave no "
+                          f"non-edge for negative sampling")
     return sizes
 
 
@@ -205,10 +211,11 @@ def _write_embeddings(path, source, target) -> None:
 def cmd_train(args) -> int:
     doc = load_config(args.config)
     g = _load_dataset(doc)
-    config = _train_config(doc, g, {"loss": args.loss,
-                                    "tie_maps": args.tie_maps or None})
+    config = _train_config(doc, g)
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    # trainer.train checks this too, for callers that skip the cli; this
+    # check runs first so that a refused run writes no PE file.
     if config.eval_every > 0 and g.labels is None:
         raise ConfigError("metric tracking needs label_path (set eval_every "
                           "to 0 to train without labels)")
@@ -255,7 +262,7 @@ def cmd_oracle(args) -> int:
     seed = _resolve_seed(args.seed)
     doc = load_config(args.config)
     g = _load_dataset(doc)
-    config = _train_config(doc, g, {})
+    config = _train_config(doc, g)
     params = load_checkpoint(args.checkpoint)
     if config.num_clusters > params.dims.d_f:
         raise ConfigError(
@@ -284,7 +291,6 @@ def cmd_oracle(args) -> int:
 
 
 def run_benchmark(sizes, epochs: int = 30, seed: int = 0,
-                  avg_degree: float = 8.0, k_pe: int = 8,
                   measure_memory: bool = True) -> dict:
     """Time fixed-epoch float64 training, the model `train` runs, at each
     size; optionally record peak memory.
@@ -297,11 +303,11 @@ def run_benchmark(sizes, epochs: int = 30, seed: int = 0,
     """
     rows = []
     for n in sizes:
-        g = random_sparse_graph(n, avg_degree=avg_degree, seed=seed)
+        g = random_sparse_graph(n, avg_degree=BENCH_AVG_DEGREE, seed=seed)
         config = TrainConfig(num_clusters=2, epochs=epochs, eval_every=0,
-                             seed=seed, k_pe=k_pe)
+                             seed=seed, k_pe=BENCH_K_PE)
         started = time.perf_counter()
-        pe = random_walk_pe(g, k_pe)
+        pe = random_walk_pe(g, BENCH_K_PE)
         pe_seconds = time.perf_counter() - started
         started = time.perf_counter()
         train(g, config, pe=pe)
@@ -332,7 +338,7 @@ def _linear_r_squared(xs: np.ndarray, ys: np.ndarray) -> float:
 
 
 def cmd_benchmark(args) -> int:
-    sizes = _sizes(args.sizes, "--sizes")
+    sizes = _sizes(args.sizes)
     if args.epochs < 0:
         raise ConfigError(f"--epochs must be >= 0, got {args.epochs}")
     seed = _resolve_seed(args.seed)
@@ -366,7 +372,7 @@ def cmd_export_similarity(args) -> int:
         raise GuardExceeded(
             f"{g.num_nodes} nodes exceeds the dense-similarity guard "
             f"({args.max_nodes}); pass --max-nodes to override")
-    config = _train_config(doc, g, {})
+    config = _train_config(doc, g)
     params = load_checkpoint(args.checkpoint)
     pe = _positional_encoding(g, config.k_pe, Path(args.checkpoint).parent)
     sim = similarity_matrix(map_features(g, pe, params))
@@ -395,9 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train and write run artifacts")
     p_train.add_argument("--config", required=True)
     p_train.add_argument("--repeats", type=int, default=1)
-    p_train.add_argument("--loss", choices=["all", "wksvd", "reconstr"],
-                         default=None)
-    p_train.add_argument("--tie-maps", action="store_true", dest="tie_maps")
     p_train.add_argument("--output-dir", default=None)
     p_train.set_defaults(func=cmd_train)
 

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _TINY = np.finfo(np.float64).eps
+_SLACK = 1e-12  # rounding allowance of fenchel_young_check
 
 
 @dataclass(frozen=True)
@@ -62,14 +63,6 @@ def center_dual(similarity, w1, w2) -> np.ndarray:
     m1 = np.eye(n) - np.outer(np.ones(n), w1) / w1.sum()
     m2 = np.eye(m) - np.outer(np.ones(m), w2) / w2.sum()
     return m1 @ s @ m2.T
-
-
-def _float64(similarity):
-    if isinstance(similarity, SimilarityFactor):
-        return SimilarityFactor(
-            source=np.asarray(similarity.source, dtype=np.float64),
-            target=np.asarray(similarity.target, dtype=np.float64))
-    return np.asarray(similarity, dtype=np.float64)
 
 
 def _degree_weights(s) -> tuple[np.ndarray, np.ndarray]:
@@ -121,16 +114,15 @@ def bicluster(similarity, k: int, seed: int = 0
               ) -> tuple[np.ndarray, np.ndarray, DualSolution]:
     """Spectral biclustering of an asymmetric similarity.
 
-    `similarity` is a `SimilarityFactor` or a dense matrix. SVD of the
-    degree-normalized similarity gives the embeddings; kmeans on the
-    recovered row/column embeddings yields the two assignments. The leading
-    singular pair is kept. A factored similarity supports at most d_f
-    singular pairs; asking for more raises ValueError.
+    `similarity` is a `SimilarityFactor` of float64 factors or a dense
+    float64 matrix. SVD of the degree-normalized similarity gives the
+    embeddings; kmeans on the recovered row/column embeddings yields the two
+    assignments. The leading singular pair is kept. A factored similarity
+    supports at most d_f singular pairs; asking for more raises ValueError.
     """
-    s = _float64(similarity)
     if k < 1:
         raise ValueError("k must be >= 1")
-    normalized, d1, d2 = _normalized(s)
+    normalized, d1, d2 = _normalized(similarity)
     left, sing, right = _top_svd(normalized, k)
     # e_i = sigma * h_i / sqrt(w1_i) with w1 = 1/d1, so the factor is sqrt(d1_i)
     src_emb = np.sqrt(d1)[:, None] * left * sing[None, :]
@@ -165,9 +157,9 @@ def stationarity_residual(sf: SimilarityFactor, solution: DualSolution,
     Those are the two block rows of the system `eigen_form_check` measures,
     with the products associated differently, so the two agree up to
     rounding for any solution: this is not an independent check.
-    The weights default to the inverse degrees of S = Phi Psi^T.
+    The factors are float64; the weights default to the inverse degrees of
+    S = Phi Psi^T.
     """
-    sf = _float64(sf)
     phi, psi = sf.source, sf.target
     w1, w2 = _weights(sf, w1, w2)
     h_e, h_r = solution.left_vectors, solution.right_vectors
@@ -190,12 +182,12 @@ def eigen_form_check(similarity, solution: DualSolution) -> float:
     """Relative residual of the block eigenvalue system of the SVD weighted
     by w1 = 1/d1 and w2 = 1/d2, the inverse degrees of S.
 
-    `similarity` is a `SimilarityFactor` or a dense matrix; a factored one
-    is applied as sqrt(w1) Phi (Psi^T (sqrt(w2) h)) without forming S.
+    `similarity` is a `SimilarityFactor` of float64 factors or a dense
+    float64 matrix; a factored one is applied as
+    sqrt(w1) Phi (Psi^T (sqrt(w2) h)) without forming S.
     """
-    s = _float64(similarity)
-    d1, d2 = _degree_weights(s)
-    weighted = _scaled(s, np.sqrt(1.0 / d1), np.sqrt(1.0 / d2))
+    d1, d2 = _degree_weights(similarity)
+    weighted = _scaled(similarity, np.sqrt(1.0 / d1), np.sqrt(1.0 / d2))
     h_e, h_r = solution.left_vectors, solution.right_vectors
     sing = solution.singular_values
     if isinstance(weighted, SimilarityFactor):
@@ -208,12 +200,11 @@ def eigen_form_check(similarity, solution: DualSolution) -> float:
     return max(top, bottom)
 
 
-def fenchel_young_check(num_samples: int, dims: int, seed: int = 0,
-                        slack: float = 1e-12) -> int:
+def fenchel_young_check(num_samples: int, dims: int, seed: int = 0) -> int:
     """Sample the conjugate-duality inequality; returns the violation count.
 
     For random e, h, w > 0 and diagonal Sigma > 0 checks
-        w/2 e' Sigma^-1 e + 1/2 h' Sigma h >= sqrt(w) e' h - slack
+        w/2 e' Sigma^-1 e + 1/2 h' Sigma h >= sqrt(w) e' h - _SLACK
     and that equality holds at h = sqrt(w) Sigma^-1 e.
     """
     rng = np.random.default_rng(seed)
@@ -226,13 +217,13 @@ def fenchel_young_check(num_samples: int, dims: int, seed: int = 0,
         sigma = rng.uniform(0.1, 2.0, size=dim)
         lhs = 0.5 * w * np.sum(e * e / sigma) + 0.5 * np.sum(h * h * sigma)
         rhs = np.sqrt(w) * np.dot(e, h)
-        if lhs < rhs - slack:
+        if lhs < rhs - _SLACK:
             violations += 1
         h_star = np.sqrt(w) * e / sigma
         lhs_star = 0.5 * w * np.sum(e * e / sigma) + 0.5 * np.sum(
             h_star * h_star * sigma)
         rhs_star = np.sqrt(w) * np.dot(e, h_star)
-        if abs(lhs_star - rhs_star) > slack * max(1.0, abs(lhs_star),
-                                                  abs(rhs_star)):
+        if abs(lhs_star - rhs_star) > _SLACK * max(1.0, abs(lhs_star),
+                                                   abs(rhs_star)):
             violations += 1
     return violations

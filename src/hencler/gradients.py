@@ -84,14 +84,11 @@ class Var:
 
 
 def _lift(x) -> Var:
-    """An operand as a Var; an array (floating dtypes kept) becomes an
-    op="const" Var, which no `Var` keeps as a parent."""
+    """An operand as a Var; anything else becomes a float64 op="const" Var
+    (a float64 array without a copy), which no `Var` keeps as a parent."""
     if isinstance(x, Var):
         return x
-    arr = np.asarray(x)
-    if not np.issubdtype(arr.dtype, np.floating):
-        arr = arr.astype(np.float64)
-    return Var(arr, op="const")
+    return Var(np.asarray(x, dtype=np.float64), op="const")
 
 
 def _check(out: np.ndarray, op: str) -> np.ndarray:

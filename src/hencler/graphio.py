@@ -227,9 +227,11 @@ def random_walk_pe(g: AttributedGraph, num_steps: int) -> np.ndarray:
     gives each step's diagonal. A symmetric adjacency walks through the
     symmetric D^-1/2 A D^-1/2 instead, where left and right vectors coincide,
     so a block costs ceil(num_steps / 2) sparse products instead of
-    num_steps. The result is exact; the total work is O(n * nnz * num_steps)
-    and stays quadratic in n. Narrow blocks keep each product in cache, and
-    no dense n x n matrix is ever formed.
+    num_steps. The result is exact but for rounding, which can lift a return
+    probability of 1 (even steps from a node whose neighbours are all
+    leaves) just above 1, so it is clipped at 1. The total work is
+    O(n * nnz * num_steps) and stays quadratic in n. Narrow blocks keep each
+    product in cache, and no dense n x n matrix is ever formed.
 
     From PE_THREADS_MIN_NODES nodes on, the blocks run on one thread per
     usable core (scipy's sparse product releases the GIL). Each block writes
@@ -265,4 +267,4 @@ def random_walk_pe(g: AttributedGraph, num_steps: int) -> np.ndarray:
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, starts))  # re-raises a worker's exception
-    return values
+    return np.minimum(values, 1.0, out=values)

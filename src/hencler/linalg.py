@@ -12,6 +12,7 @@ import numpy as np
 __all__ = ["SvdConvergenceError", "thin_svd", "kmeans", "frobenius_relerr"]
 
 _EPS = np.finfo(np.float64).eps
+_MAX_LLOYD_ITERS = 300
 
 
 class SvdConvergenceError(ArithmeticError):
@@ -67,10 +68,10 @@ def _pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300
+def _lloyd(points: np.ndarray, centers: np.ndarray
            ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Lloyd iterations of R restarts at once, from centers of shape
-    (R, k, d); returns (labels (R, n), wcss (R,), history).
+    """At most _MAX_LLOYD_ITERS Lloyd iterations of R restarts at once, from
+    centers of shape (R, k, d); returns (labels (R, n), wcss (R,), history).
 
     `history` holds one (R,) array of objective values per iteration. A
     restart drops out when its labels repeat and keeps its last values.
@@ -117,7 +118,7 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iter: int = 300
     history: list[np.ndarray] = []
     active = np.arange(restarts)
     rows = np.arange(n)
-    for step in range(max_iter):
+    for step in range(_MAX_LLOYD_ITERS):
         d = sq_dists(centers)
         new_labels, low = nearest(d)
         bins = (np.arange(active.size)[:, None] * k + new_labels).ravel()

@@ -25,6 +25,10 @@ from .model import HenclerParams, ModelDims, _augmented_input, \
 __all__ = ["TrainConfig", "RunRecord", "TrainingDiverged", "AdamState",
            "optimizer_step", "train"]
 
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
 
 class TrainingDiverged(ArithmeticError):
     """The loss went non-finite; message carries the epoch index."""
@@ -132,8 +136,7 @@ class AdamState:
 
 
 def optimizer_step(ps: dict[str, ad.Var], grads: dict[str, np.ndarray],
-                   state: AdamState, lr: float, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
+                   state: AdamState, lr: float) -> AdamState:
     """Bias-corrected Adam update of the named leaves' values, in place."""
     state.step += 1
     t = state.step
@@ -144,13 +147,13 @@ def optimizer_step(ps: dict[str, ad.Var], grads: dict[str, np.ndarray],
                              f"parameter {name!r} of shape {var.value.shape}")
         m = state.first_moment[name]
         v = state.second_moment[name]
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        var.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= _ADAM_BETA1
+        m += (1.0 - _ADAM_BETA1) * grad
+        v *= _ADAM_BETA2
+        v += (1.0 - _ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - _ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - _ADAM_BETA2 ** t)
+        var.value -= lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     return state
 
 

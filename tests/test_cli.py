@@ -7,7 +7,7 @@ import pytest
 
 from hencler import cli, model
 from hencler.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, main, run_benchmark
-from hencler.graphio import load_graph, random_walk_pe
+from hencler.graphio import AttributedGraph, load_graph, random_walk_pe
 from hencler.synthetic import heterophilous_blobs, write_graph_tsv
 
 
@@ -167,10 +167,9 @@ def test_env_seed_override(tmp_path, dataset, monkeypatch):
     assert main(["train", "--config", str(config)]) == EXIT_CONFIG
 
 
-def test_loss_flag_and_tie_maps(tmp_path, dataset):
-    config = write_config(tmp_path, dataset)
-    assert main(["train", "--config", str(config), "--loss", "wksvd",
-                 "--tie-maps"]) == EXIT_OK
+def test_loss_and_tie_maps_config_keys(tmp_path, dataset):
+    config = write_config(tmp_path, dataset, loss="wksvd", tie_maps=True)
+    assert main(["train", "--config", str(config)]) == EXIT_OK
     metrics = json.loads((tmp_path / "out" / "metrics.json").read_text())
     assert metrics["config"]["loss"] == "wksvd"
     assert metrics["config"]["tie_maps"] is True
@@ -346,6 +345,7 @@ def test_non_positive_sizes_exit_2(tmp_path, dataset, capsys, key, value):
     (["train", "--config", "{config}", "--repeats", "0"], "--repeats"),
     (["train", "--config", "{config}", "--repeats", "-2"], "--repeats"),
     (["benchmark", "--sizes", "abc"], "--sizes"),
+    (["benchmark", "--sizes", "9"], "--sizes"),
     (["benchmark", "--sizes", "50", "--epochs", "-1"], "--epochs"),
     (["oracle", "--config", "{config}", "--checkpoint", "missing.json"],
      "missing.json"),
@@ -355,7 +355,7 @@ def test_non_positive_sizes_exit_2(tmp_path, dataset, capsys, key, value):
     (["oracle", "--config", "{config}", "--checkpoint", "{checkpoint}",
       "--seed", "-1"], "seed"),
     (["benchmark", "--sizes", "50", "--epochs", "1", "--seed", "-1"], "seed"),
-], ids=["repeats-0", "repeats-neg", "sizes-abc", "epochs-neg",
+], ids=["repeats-0", "repeats-neg", "sizes-abc", "sizes-9", "epochs-neg",
         "oracle-missing-checkpoint", "export-missing-checkpoint",
         "env-seed-neg", "oracle-seed-neg", "benchmark-seed-neg"])
 def test_bad_arguments_exit_2_and_write_nothing(tmp_path, dataset,
@@ -448,8 +448,8 @@ def test_export_similarity(tmp_path, dataset, capsys):
 
 def test_export_similarity_tied_checkpoint_symmetric(tmp_path, dataset,
                                                      capsys):
-    config = write_config(tmp_path, dataset)
-    main(["train", "--config", str(config), "--tie-maps"])
+    config = write_config(tmp_path, dataset, tie_maps=True)
+    main(["train", "--config", str(config)])
     checkpoint = tmp_path / "out" / "checkpoint.json"
     out_csv = tmp_path / "similarity.csv"
     main(["export-similarity", "--checkpoint", str(checkpoint),
@@ -489,13 +489,24 @@ def test_export_label_sorted_blocks_have_structure(tmp_path, dataset):
 
 
 def test_removed_parallel_flag_is_a_usage_error(tmp_path, dataset, capsys):
+    """So are the removed `--loss` and `--tie-maps`: the config keys of the
+    same names are the one way to ask for an ablation."""
     config = write_config(tmp_path, dataset)
-    with pytest.raises(SystemExit) as exc:
-        main(["train", "--config", str(config), "--repeats", "2",
-              "--parallel"])
-    assert exc.value.code == EXIT_CONFIG
-    assert "--parallel" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for flags in (["--parallel"], ["--loss", "wksvd"], ["--tie-maps"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(config), "--repeats", "2",
+                  *flags])
+        assert exc.value.code == EXIT_CONFIG
+        assert flags[0] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_no_train_option_shadows_a_config_key():
+    """A `train` flag that set a TrainConfig field would override the
+    config, and metrics.json would no longer describe the config file."""
+    args = cli._build_parser().parse_args(["train", "--config", "run.json"])
+    shadowing = set(vars(args)) & cli._TRAIN_KEYS
+    assert not shadowing, shadowing
 
 
 @pytest.mark.parametrize("eval_every", [1, 0], ids=["tracked", "untracked"])
@@ -683,3 +694,26 @@ def test_bad_stored_pe_exits_2_and_names_the_file(tmp_path, dataset, capsys,
     assert sorted(out.iterdir()) == listing
     assert not (tmp_path / "oracle").exists()
     assert not (tmp_path / "sim.csv").exists()
+
+
+def test_pe_of_a_star_round_trips_through_its_file(tmp_path, capsys):
+    """Node 0's neighbours are leaves, so its return probability at even
+    steps is 1, which the normalized walk rounds just above 1 unclipped;
+    the stored file must still pass the check every later read makes."""
+    g = AttributedGraph(np.array([[0, 1], [0, 2]]),
+                        np.arange(12.0).reshape(6, 2))
+    edge_path, feat_path = tmp_path / "edges.tsv", tmp_path / "features.tsv"
+    write_graph_tsv(g, edge_path, feat_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "edge_path": str(edge_path), "feature_path": str(feat_path),
+        "directed": False, "num_clusters": 2, "epochs": 2, "hidden": 8,
+        "d_f": 4, "k_pe": 4, "eval_every": 0,
+        "output_dir": str(tmp_path / "out")}))
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    (path,) = pe_files(tmp_path / "out")
+    assert np.load(path)[0, 1] == 1.0
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    assert main(["oracle", "--config", str(config), "--checkpoint",
+                 str(tmp_path / "out" / "checkpoint.json"), "--output-dir",
+                 str(tmp_path / "oracle")]) == EXIT_OK, capsys.readouterr().err

@@ -323,3 +323,32 @@ def test_pe_workers_by_graph_size_and_cores(monkeypatch):
     assert graphio._num_workers(floor, 2) == 2
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert graphio._num_workers(floor, 10) == 1
+
+
+def test_pe_return_probability_one_is_not_rounded_above_one():
+    """A node whose neighbours are all leaves returns at every even step
+    with probability 1; unclipped, rounding lifts the walk's value just
+    above 1 on some stars and complete bipartite graphs, through the
+    symmetric operator and through P alike. An extra node feeding node 0
+    makes the adjacency asymmetric without changing its return
+    probabilities."""
+    def star(leaves):
+        return [(0, leaf) for leaf in range(1, leaves + 1)]
+
+    def bipartite(a, b):
+        return [(i, a + j) for i in range(a) for j in range(b)]
+
+    shapes = ([star(leaves) for leaves in range(2, 60)]
+              + [bipartite(a, b) for a in range(1, 12)
+                 for b in range(1, 12)])
+    for pairs in shapes:
+        edges = np.array(pairs)
+        n = int(edges.max()) + 1
+        undirected = symmetrize(AttributedGraph(edges, np.zeros((n, 1))))
+        feeder = np.concatenate([undirected.edges, [[n, 0]]])
+        directed = AttributedGraph(feeder, np.zeros((n + 1, 1)))
+        for g, symmetric in ((undirected, True), (directed, False)):
+            right, left = _walk_operators(g)
+            assert (right is left) == symmetric
+            pe = random_walk_pe(g, 4)
+            assert pe.max() <= 1.0, (pairs[-1], symmetric, pe.max())
