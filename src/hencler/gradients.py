@@ -1,14 +1,18 @@
 """Minimal reverse-mode differentiation over the primitives the model needs.
 
-The tape is a DAG of `Var` nodes built implicitly by calling the op
-functions below. Its trainable leaves come as a dict of named `Var`s, and
-`backward` returns their gradients under the same names. An op also takes
-plain arrays (inputs, targets, labels): such an operand is captured by the
-closures of the op that uses it and is never a parent, so no gradient is
-computed for it. `backward` is pure (it never mutates node state, so
-re-running it yields identical gradients), and `grad_check` validates any
-loss builder against central finite differences with per-coordinate kink
-rejection.
+Calling the op functions below builds the tape implicitly: each returns a
+`Var`, a value plus its node. The tape is a DAG of nodes without values: a
+node holds its op and, per parent node, a backward closure that captures
+only the arrays or shapes that rule reads. A value therefore lives as long
+as its `Var` or a backward rule that reads it; an intermediate no rule
+reads is freed once the model code drops its `Var`. The trainable leaves
+come as a dict of named `Var`s, and `backward` returns their gradients under
+the same names. An op also takes plain arrays (inputs, targets, labels):
+such an operand is captured by the closures of the op that uses it and is
+never a parent, so no gradient is computed for it. `backward` is pure (it
+never mutates node state, so re-running it yields identical gradients), and
+`grad_check` validates any loss builder against central finite differences
+with per-coordinate kink rejection.
 """
 
 from __future__ import annotations
@@ -52,19 +56,44 @@ class NonFiniteError(ArithmeticError):
         self.primitive = primitive
 
 
-class Var:
-    """One node of the tape: a value plus backward rules to its parents."""
+class _Node:
+    """One node of the tape: the op and its backward rules, without the
+    value, so a value lives only as long as its `Var` or a rule that reads
+    it."""
 
-    __slots__ = ("value", "parents", "op", "kink_mask")
+    __slots__ = ("parents", "op", "kink_mask")
 
-    def __init__(self, value, parents=(), op="leaf", kink_mask=None):
-        self.value = value
-        # tuple of (Var, fn: out_grad -> parent_grad); array operands are dropped
-        self.parents = tuple(p for p in parents if p[0].op != "const")
+    def __init__(self, parents, op, kink_mask):
+        # tuple of (_Node, fn: out_grad -> parent_grad)
+        self.parents = parents
         self.op = op
         # Boolean branch pattern for piecewise-linear ops; used by grad_check
         # to reject finite-difference coordinates that cross a kink.
         self.kink_mask = kink_mask
+
+
+class Var:
+    """A value plus its tape node; the node refers to its parents' nodes."""
+
+    __slots__ = ("value", "node")
+
+    def __init__(self, value, parents=(), op="leaf", kink_mask=None):
+        self.value = value
+        # parents: pairs of (Var, fn); array operands are dropped
+        self.node = _Node(tuple((p.node, fn) for p, fn in parents
+                                if p.node.op != "const"), op, kink_mask)
+
+    @property
+    def parents(self):
+        return self.node.parents
+
+    @parents.setter
+    def parents(self, parents):
+        self.node.parents = parents
+
+    @property
+    def op(self):
+        return self.node.op
 
     @property
     def shape(self):
@@ -85,7 +114,7 @@ class Var:
 
 def _lift(x) -> Var:
     """An operand as a Var; anything else becomes a float64 op="const" Var
-    (a float64 array without a copy), which no `Var` keeps as a parent."""
+    (a float64 array without a copy), which no node keeps as a parent."""
     if isinstance(x, Var):
         return x
     return Var(np.asarray(x, dtype=np.float64), op="const")
@@ -112,15 +141,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Var:
     a, b = _lift(a), _lift(b)
     out = _check(a.value + b.value, "add")
-    return Var(out, ((a, lambda g: _unbroadcast(g, a.value.shape)),
-                     (b, lambda g: _unbroadcast(g, b.value.shape))), op="add")
+    sa, sb = a.value.shape, b.value.shape
+    return Var(out, ((a, lambda g: _unbroadcast(g, sa)),
+                     (b, lambda g: _unbroadcast(g, sb))), op="add")
 
 
 def sub(a, b) -> Var:
     a, b = _lift(a), _lift(b)
     out = _check(a.value - b.value, "sub")
-    return Var(out, ((a, lambda g: _unbroadcast(g, a.value.shape)),
-                     (b, lambda g: _unbroadcast(-g, b.value.shape))), op="sub")
+    sa, sb = a.value.shape, b.value.shape
+    return Var(out, ((a, lambda g: _unbroadcast(g, sa)),
+                     (b, lambda g: _unbroadcast(-g, sb))), op="sub")
 
 
 def scale(a, c: float) -> Var:
@@ -132,19 +163,22 @@ def scale(a, c: float) -> Var:
 
 def mul(a, b) -> Var:
     a, b = _lift(a), _lift(b)
-    out = _check(a.value * b.value, "mul")
-    return Var(out, ((a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
-                     (b, lambda g: _unbroadcast(g * a.value, b.value.shape))), op="mul")
+    av, bv = a.value, b.value
+    sa, sb = av.shape, bv.shape
+    out = _check(av * bv, "mul")
+    return Var(out, ((a, lambda g: _unbroadcast(g * bv, sa)),
+                     (b, lambda g: _unbroadcast(g * av, sb))), op="mul")
 
 
 def matmul(a, b) -> Var:
     a, b = _lift(a), _lift(b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
+    av, bv = a.value, b.value
+    if av.ndim != 2 or bv.ndim != 2:
         raise ValueError("matmul expects 2-D operands "
-                         f"(got {a.value.shape} @ {b.value.shape})")
-    out = _check(a.value @ b.value, "matmul")
-    return Var(out, ((a, lambda g: g @ b.value.T),
-                     (b, lambda g: a.value.T @ g)), op="matmul")
+                         f"(got {av.shape} @ {bv.shape})")
+    out = _check(av @ bv, "matmul")
+    return Var(out, ((a, lambda g: g @ bv.T),
+                     (b, lambda g: av.T @ g)), op="matmul")
 
 
 def transpose(a) -> Var:
@@ -155,7 +189,8 @@ def transpose(a) -> Var:
 def reshape(a, shape) -> Var:
     a = _lift(a)
     out = a.value.reshape(shape)
-    return Var(out, ((a, lambda g: g.reshape(a.value.shape)),), op="reshape")
+    sa = a.value.shape
+    return Var(out, ((a, lambda g: g.reshape(sa)),), op="reshape")
 
 
 def concat(a, b, axis: int = 1) -> Var:
@@ -177,9 +212,10 @@ def gather_rows(a, idx) -> Var:
     a = _lift(a)
     idx = np.asarray(idx, dtype=np.intp)
     out = a.value[idx]
+    shape, dtype = a.value.shape, a.value.dtype
 
     def back(g):
-        acc = np.zeros_like(a.value)
+        acc = np.zeros(shape, dtype=dtype)
         np.add.at(acc, idx, g)
         return acc
 
@@ -221,25 +257,28 @@ def log_sigmoid(a) -> Var:
 
 
 def batchnorm(x, gamma, beta, eps: float = 1e-5) -> Var:
-    """Training-mode batch normalization over axis 0 with learnable affine."""
+    """Training-mode batch normalization over axis 0 with learnable affine.
+
+    Backward keeps `centered` and recomputes `centered * inv` for gamma,
+    so the normalized input is not held on the tape.
+    """
     x, gamma, beta = _lift(x), _lift(gamma), _lift(beta)
-    xv = x.value
+    xv, gv = x.value, gamma.value
     n = xv.shape[0]
     mean = xv.mean(axis=0)
     centered = xv - mean
     var = np.mean(centered * centered, axis=0)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = _check(gamma.value * xhat + beta.value, "batchnorm")
+    out = _check(gv * (centered * inv) + beta.value, "batchnorm")
 
     def back_x(g):
-        gxhat = g * gamma.value
+        gxhat = g * gv
         gvar = np.sum(gxhat * centered, axis=0) * (-0.5) * inv ** 3
         gmean = -inv * np.sum(gxhat, axis=0)
         return gxhat * inv + gvar * (2.0 / n) * centered + gmean / n
 
     def back_gamma(g):
-        return np.sum(g * xhat, axis=0)
+        return np.sum(g * (centered * inv), axis=0)
 
     def back_beta(g):
         return np.sum(g, axis=0)
@@ -251,11 +290,12 @@ def batchnorm(x, gamma, beta, eps: float = 1e-5) -> Var:
 def reduce_sum(a, axis: int | None = None) -> Var:
     a = _lift(a)
     out = np.asarray(a.value.sum(axis=axis))
+    shape = a.value.shape
 
     def back(g):
         if axis is None:
-            return np.broadcast_to(g, a.value.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis), a.value.shape).copy()
+            return np.broadcast_to(g, shape).copy()
+        return np.broadcast_to(np.expand_dims(g, axis), shape).copy()
 
     return Var(out, ((a, back),), op="sum")
 
@@ -271,8 +311,9 @@ def trace(a) -> Var:
 
 def square(a) -> Var:
     a = _lift(a)
-    out = a.value * a.value
-    return Var(out, ((a, lambda g: 2.0 * a.value * g),), op="square")
+    av = a.value
+    out = av * av
+    return Var(out, ((a, lambda g: 2.0 * av * g),), op="square")
 
 
 def reciprocal(a) -> Var:
@@ -298,11 +339,12 @@ def clamp_min(a, floor: float) -> Var:
                op="clamp_min", kink_mask=keep)
 
 
-def _topo_order(root: Var) -> list[Var]:
-    """Iterative DFS topological order (parents before children)."""
-    order: list[Var] = []
+def _topo_order(root: Var) -> list[_Node]:
+    """Iterative DFS topological order of the nodes reachable from `root`
+    (parents before children)."""
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root.node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -334,8 +376,8 @@ def backward(loss: Var, wrt: dict[str, Var]) -> dict[str, np.ndarray]:
     if loss.value.size != 1:
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
     order = _topo_order(loss)
-    want = {id(v) for v in wrt.values()}
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.value)}
+    want = {id(v.node) for v in wrt.values()}
+    grads: dict[int, np.ndarray] = {id(loss.node): np.ones_like(loss.value)}
     for node in reversed(order):
         g = grads.get(id(node))
         if g is None:
@@ -349,8 +391,8 @@ def backward(loss: Var, wrt: dict[str, Var]) -> dict[str, np.ndarray]:
                 grads[pid] = contrib
         if node.parents and id(node) not in want:
             del grads[id(node)]  # free intermediates early
-    return {name: grads[id(var)] for name, var in wrt.items()
-            if id(var) in grads}
+    return {name: grads[id(var.node)] for name, var in wrt.items()
+            if id(var.node) in grads}
 
 
 def _signatures_equal(a: list[np.ndarray], b: list[np.ndarray]) -> bool:

@@ -246,7 +246,14 @@ def train(g: AttributedGraph, config: TrainConfig,
                     f"non-finite loss at epoch {epoch}: {exc}") from exc
             pending = (epoch if config.eval_every > 0
                        and (epoch + 1) % config.eval_every == 0 else None)
-        parts = grads = None  # release the last epoch's tape
+        # Release the last epoch's tape. Inside the loop an epoch's tape is
+        # freed only when the next forward replaces `parts`, on purpose:
+        # freeing it at the end of the epoch body lowers the peak, but malloc
+        # then trims the top of the heap and the next forward faults those
+        # pages back in. At n = 8000 over 20 epochs (2 cores) that gave 8x
+        # the minor page faults, 5x the system time and about 10% more
+        # training time, for 280 instead of 370 MB peak RSS.
+        parts = grads = None
         try:
             record.embeddings = _eval_embeddings(ps, x_aug)
             if pending is not None:

@@ -1,4 +1,6 @@
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -207,7 +209,7 @@ def test_array_operands_are_not_parents():
     # computes a gradient for it
     ps = make_params(w=np.ones((3, 2)))
     out = ad.matmul(np.ones((4, 3)), ps["w"])
-    assert len(out.parents) == 1 and out.parents[0][0] is ps["w"]
+    assert len(out.parents) == 1 and out.parents[0][0] is ps["w"].node
     np.testing.assert_array_equal(out.value, np.full((4, 2), 3.0))
 
 
@@ -218,6 +220,64 @@ def test_backward_is_pure():
     first = ad.backward(loss, wrt=ps)["x"]
     second = ad.backward(loss, wrt=ps)["x"]
     np.testing.assert_array_equal(first, second)
+
+
+# Each op applied to an intermediate operand `mid`, with the leaves `ps`
+# for its other arguments. reshape and transpose are in neither table: their
+# value is a view whose base is the operand, so the operand legitimately
+# lives as long as the view.
+READS_NO_OPERAND = {
+    "add": lambda mid, ps: ad.add(mid, ps["p"]),
+    "sub": lambda mid, ps: ad.sub(mid, ps["p"]),
+    "scale": lambda mid, ps: ad.scale(mid, 3.0),
+    "reduce_sum": lambda mid, ps: ad.reduce_sum(mid, axis=0),
+    "concat": lambda mid, ps: ad.concat(mid, ps["p"], axis=1),
+    "gather_rows": lambda mid, ps: ad.gather_rows(mid, [0, 2, 2]),
+    "leaky_relu": lambda mid, ps: ad.leaky_relu(mid),
+    "softplus": lambda mid, ps: ad.softplus(mid),
+    "log_sigmoid": lambda mid, ps: ad.log_sigmoid(mid),
+    "clamp_min": lambda mid, ps: ad.clamp_min(mid, 1.0),
+    "batchnorm": lambda mid, ps: ad.batchnorm(mid, ps["gamma"], ps["beta"]),
+    "trace": lambda mid, ps: ad.trace(mid),
+    "reciprocal": lambda mid, ps: ad.reciprocal(mid),
+    "sqrt": lambda mid, ps: ad.sqrt(mid),
+}
+
+READS_OPERAND = {
+    "matmul": lambda mid, ps: ad.matmul(mid, ps["p"]),
+    "mul": lambda mid, ps: ad.mul(mid, ps["p"]),
+    "square": lambda mid, ps: ad.square(mid),
+}
+
+
+def _operand_after_op(build):
+    """Apply `build` to an intermediate, drop the intermediate's Var, and
+    return a weak reference to its value, the op's output (whose node keeps
+    the tape alive) and the leaves' gradients through that output."""
+    rng = np.random.default_rng(12)
+    ps = make_params(x=rng.uniform(0.5, 1.5, size=(3, 3)),
+                     p=rng.uniform(0.5, 1.5, size=(3, 3)),
+                     gamma=rng.uniform(0.5, 1.5, 3), beta=rng.normal(size=3))
+    mid = ad.scale(ps["x"], 2.0)
+    ref = weakref.ref(mid.value)
+    out = build(mid, ps)
+    del mid
+    gc.collect()
+    return ref, out, ad.backward(ad.reduce_sum(out), wrt=ps)
+
+
+@pytest.mark.parametrize("op", sorted(READS_NO_OPERAND))
+def test_operand_no_backward_rule_reads_is_freed(op):
+    ref, out, grads = _operand_after_op(READS_NO_OPERAND[op])
+    assert ref() is None
+    assert "x" in grads  # the tape still reaches the leaf
+
+
+@pytest.mark.parametrize("op", sorted(READS_OPERAND))
+def test_operand_a_backward_rule_reads_stays(op):
+    ref, out, grads = _operand_after_op(READS_OPERAND[op])
+    assert ref() is not None
+    assert "x" in grads
 
 
 def test_nonfinite_reports_primitive():
