@@ -13,6 +13,12 @@ never a parent, so no gradient is computed for it. `backward` is pure (it
 never mutates node state, so re-running it yields identical gradients), and
 `grad_check` validates any loss builder against central finite differences
 with per-coordinate kink rejection.
+
+No op writes into an array it did not allocate: operand values may be
+parameters or model inputs, and add, sub, reshape, transpose and concat
+return the incoming gradient or views of it, which other rules receive
+too. In-place work (`out=`, `*=`) is therefore only done on arrays the op
+or the backward rule allocated itself.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+
+LEAKY_SLOPE = 0.01
 
 __all__ = [
     "Var",
@@ -33,6 +41,7 @@ __all__ = [
     "reshape",
     "concat",
     "gather_rows",
+    "LEAKY_SLOPE",
     "leaky_relu",
     "softplus",
     "log_sigmoid",
@@ -198,11 +207,13 @@ def concat(a, b, axis: int = 1) -> Var:
     out = np.concatenate([a.value, b.value], axis=axis)
     na = a.value.shape[axis]
 
+    lead = (slice(None),) * axis
+
     def back_a(g):
-        return np.take(g, range(na), axis=axis)
+        return g[lead + (slice(None, na),)]
 
     def back_b(g):
-        return np.take(g, range(na, g.shape[axis]), axis=axis)
+        return g[lead + (slice(na, None),)]
 
     return Var(out, ((a, back_a), (b, back_b)), op="concat")
 
@@ -222,38 +233,57 @@ def gather_rows(a, idx) -> Var:
     return Var(out, ((a, back),), op="gather_rows")
 
 
-def leaky_relu(a, slope: float = 0.01) -> Var:
+def leaky_relu(a) -> Var:
+    """max(x, LEAKY_SLOPE * x): x for x >= 0 and LEAKY_SLOPE * x below,
+    because 0 <= LEAKY_SLOPE <= 1."""
     a = _lift(a)
     pos = a.value >= 0
-    out = np.where(pos, a.value, slope * a.value)
-    return Var(out, ((a, lambda g: np.where(pos, g, slope * g)),),
-               op="leaky_relu", kink_mask=pos)
+    out = a.value * LEAKY_SLOPE
+    np.maximum(a.value, out, out=out)
+
+    def back(g):
+        local = np.maximum(pos, LEAKY_SLOPE)
+        local *= g
+        return local
+
+    return Var(out, ((a, back),), op="leaky_relu", kink_mask=pos)
 
 
 def _stable_sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(exp(-|x|), sigmoid(x)) from one exp; neither overflows for any x."""
-    e = np.exp(-np.abs(x))
+    """(exp(-|x|), sigmoid(x)) from one exp; neither overflows for any x.
+    sigmoid(x) is 1 / (1 + e) for x >= 0 and e / (1 + e) below; since
+    0 <= e <= 1, the numerator is max(e, x >= 0)."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     denom = 1.0 + e
-    return e, np.where(x >= 0, 1.0 / denom, e / denom)
+    sig = np.maximum(e, x >= 0)
+    sig /= denom
+    return e, sig
 
 
 def softplus(a) -> Var:
     """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)); smooth and stable."""
     a = _lift(a)
     e, sig = _stable_sigmoid(a.value)
-    out = _check(np.maximum(a.value, 0.0) + np.log1p(e), "softplus")
-    return Var(out, ((a, lambda g: g * sig),), op="softplus")
+    out = np.maximum(a.value, 0.0)
+    out += np.log1p(e, out=e)
+    return Var(_check(out, "softplus"), ((a, lambda g: g * sig),),
+               op="softplus")
 
 
 def log_sigmoid(a) -> Var:
-    """log(sigmoid(x)) = min(x, 0) - log1p(exp(-|x|)), with derivative
-    sigmoid(-x); avoids the 1-p cancellation in BCE tails."""
+    """log(sigmoid(x)) = -(log1p(exp(-|x|)) - min(x, 0)), with derivative
+    sigmoid(-x); avoids the 1-p cancellation in BCE tails. Negating the
+    difference gives -0.0 at x = 0, as -log1p(exp(-|x|)) does."""
     a = _lift(a)
     x = a.value
     e, sig_neg = _stable_sigmoid(-x)
-    tail = np.log1p(e)
-    out = _check(np.where(x >= 0, -tail, x - tail), "log_sigmoid")
-    return Var(out, ((a, lambda g: g * sig_neg),), op="log_sigmoid")
+    out = np.log1p(e, out=e)
+    out -= np.minimum(x, 0.0)
+    np.negative(out, out=out)
+    return Var(_check(out, "log_sigmoid"), ((a, lambda g: g * sig_neg),),
+               op="log_sigmoid")
 
 
 def batchnorm(x, gamma, beta, eps: float = 1e-5) -> Var:
@@ -267,18 +297,29 @@ def batchnorm(x, gamma, beta, eps: float = 1e-5) -> Var:
     n = xv.shape[0]
     mean = xv.mean(axis=0)
     centered = xv - mean
-    var = np.mean(centered * centered, axis=0)
+    out = centered * centered  # the squares, then the output in place
+    var = np.mean(out, axis=0)
     inv = 1.0 / np.sqrt(var + eps)
-    out = _check(gv * (centered * inv) + beta.value, "batchnorm")
+    np.multiply(centered, inv, out=out)
+    out *= gv
+    out += beta.value
+    _check(out, "batchnorm")
 
     def back_x(g):
         gxhat = g * gv
-        gvar = np.sum(gxhat * centered, axis=0) * (-0.5) * inv ** 3
+        term = gxhat * centered
+        gvar = np.sum(term, axis=0) * (-0.5) * inv ** 3
         gmean = -inv * np.sum(gxhat, axis=0)
-        return gxhat * inv + gvar * (2.0 / n) * centered + gmean / n
+        np.multiply(gvar * (2.0 / n), centered, out=term)
+        gxhat *= inv
+        gxhat += term
+        gxhat += gmean / n
+        return gxhat
 
     def back_gamma(g):
-        return np.sum(g * (centered * inv), axis=0)
+        xhat = centered * inv
+        xhat *= g
+        return np.sum(xhat, axis=0)
 
     def back_beta(g):
         return np.sum(g, axis=0)

@@ -32,7 +32,6 @@ __all__ = [
     "load_checkpoint",
 ]
 
-LEAKY_SLOPE = 0.01
 BN_EPS = 1e-5
 
 
@@ -131,8 +130,7 @@ def init_params(dims: ModelDims, seed: int = 0, tied: bool = False) -> HenclerPa
 
 
 def _mlp(ps, x: np.ndarray, prefix: str) -> ad.Var:
-    hidden = ad.leaky_relu(ad.matmul(x, ps[f"{prefix}.w1"]) + ps[f"{prefix}.b1"],
-                           slope=LEAKY_SLOPE)
+    hidden = ad.leaky_relu(ad.matmul(x, ps[f"{prefix}.w1"]) + ps[f"{prefix}.b1"])
     out = ad.matmul(hidden, ps[f"{prefix}.w2"]) + ps[f"{prefix}.b2"]
     normed = ad.batchnorm(out, ps[f"{prefix}.bn_gamma"], ps[f"{prefix}.bn_beta"],
                           eps=BN_EPS)
@@ -164,8 +162,7 @@ def node_decoder(ps: dict[str, ad.Var], src_emb: ad.Var | np.ndarray,
     back_src = ad.matmul(src_emb, ad.transpose(ps["proj_src"]))
     back_dst = ad.matmul(dst_emb, ad.transpose(ps["proj_dst"]))
     joined = ad.concat(back_src, back_dst, axis=1)
-    hidden = ad.leaky_relu(ad.matmul(joined, ps["rec.w1"]) + ps["rec.b1"],
-                           slope=LEAKY_SLOPE)
+    hidden = ad.leaky_relu(ad.matmul(joined, ps["rec.w1"]) + ps["rec.b1"])
     return ad.matmul(hidden, ps["rec.w2"]) + ps["rec.b2"]
 
 

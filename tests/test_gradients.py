@@ -312,3 +312,119 @@ def test_grad_check_skips_kink_crossings():
         return ad.reduce_sum(ad.leaky_relu(p["x"]))
 
     assert ad.grad_check(builder, ps, step=1e-5, seed=0) < 1e-8
+
+
+# The np.where formulas the element-wise ops used before their branch-free
+# forms; each returns (value, gradient for the incoming gradient g).
+def _where_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    denom = 1.0 + e
+    return e, np.where(x >= 0, 1.0 / denom, e / denom)
+
+
+def _where_leaky_relu(x, g):
+    pos = x >= 0
+    return np.where(pos, x, 0.01 * x), np.where(pos, g, 0.01 * g)
+
+
+def _where_softplus(x, g):
+    e, sig = _where_sigmoid(x)
+    return np.maximum(x, 0.0) + np.log1p(e), g * sig
+
+
+def _where_log_sigmoid(x, g):
+    e, sig_neg = _where_sigmoid(-x)
+    tail = np.log1p(e)
+    return np.where(x >= 0, -tail, x - tail), g * sig_neg
+
+
+WHERE_FORMS = {
+    "leaky_relu": (ad.leaky_relu, _where_leaky_relu),
+    "softplus": (ad.softplus, _where_softplus),
+    "log_sigmoid": (ad.log_sigmoid, _where_log_sigmoid),
+}
+
+EDGE_VALUES = [0.0, 5e-324, 1e-300, 1.0, 36.0, 709.0, 745.0, 800.0, 1e300]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("op", sorted(WHERE_FORMS))
+def test_branch_free_ops_match_where_forms_bitwise(op, sign):
+    rng = np.random.default_rng(13)
+    edges = np.array(EDGE_VALUES)
+    x = np.concatenate([edges, -edges, rng.normal(size=200),
+                        10.0 * rng.normal(size=200)])
+    g = sign * rng.uniform(0.1, 3.0, size=x.size)
+    fn, where_form = WHERE_FORMS[op]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want_value, want_grad = where_form(x, g)
+        out = fn(ad.Var(x.copy(), op="param"))
+        (_, back), = out.parents
+        got_grad = back(g)
+    np.testing.assert_array_equal(out.value.view(np.int64),
+                                  want_value.view(np.int64))
+    np.testing.assert_array_equal(got_grad.view(np.int64),
+                                  want_grad.view(np.int64))
+
+
+def test_batchnorm_in_place_matches_expression_form_bitwise():
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(50, 6)) * rng.uniform(0.1, 10.0, size=6)
+    gamma, beta = rng.uniform(0.5, 1.5, 6), rng.normal(size=6)
+    g = rng.normal(size=(50, 6))
+    n, eps = x.shape[0], 1e-5
+    centered = x - x.mean(axis=0)
+    inv = 1.0 / np.sqrt(np.mean(centered * centered, axis=0) + eps)
+    gxhat = g * gamma
+    gvar = np.sum(gxhat * centered, axis=0) * (-0.5) * inv ** 3
+    gmean = -inv * np.sum(gxhat, axis=0)
+    want = {"value": gamma * (centered * inv) + beta,
+            "x": gxhat * inv + gvar * (2.0 / n) * centered + gmean / n,
+            "gamma": np.sum(g * (centered * inv), axis=0),
+            "beta": np.sum(g, axis=0)}
+    ps = make_params(x=x, gamma=gamma, beta=beta)
+    out = ad.batchnorm(ps["x"], ps["gamma"], ps["beta"], eps=eps)
+    got = {"value": out.value}
+    for name, (_, back) in zip(("x", "gamma", "beta"), out.parents):
+        got[name] = back(g)
+    for name in want:
+        np.testing.assert_array_equal(got[name].view(np.int64),
+                                      want[name].view(np.int64))
+
+
+# reshape and transpose return views of their operand, and their rules
+# views of g; neither may be written to by the op's consumers.
+VIEW_OPS = {
+    "reshape": lambda mid, ps: ad.reshape(mid, (9,)),
+    "transpose": lambda mid, ps: ad.transpose(mid),
+}
+ALL_OPS = {**READS_NO_OPERAND, **READS_OPERAND, **VIEW_OPS}
+
+
+@pytest.mark.parametrize("operand", ["var", "array"])
+@pytest.mark.parametrize("op", sorted(ALL_OPS))
+def test_ops_write_only_into_arrays_they_allocate(op, operand):
+    # operands may be parameters or model inputs, and add, sub, reshape,
+    # transpose and concat hand g (or views of it) on to other rules, so
+    # neither a forward nor a backward rule may write into them
+    rng = np.random.default_rng(15)
+    ps = make_params(p=rng.uniform(0.5, 1.5, size=(3, 3)),
+                     gamma=rng.uniform(0.5, 1.5, 3), beta=rng.normal(size=3))
+    # mixed signs, so a piecewise op that wrote into its operand would show
+    value = rng.uniform(0.5, 1.5, size=(3, 3)) * rng.choice([-1.0, 1.0], (3, 3))
+    if op == "sqrt":
+        value = np.abs(value)
+    mid = ad.Var(value, op="param") if operand == "var" else value
+    before = {name: var.value.copy() for name, var in ps.items()}
+    value_before = value.copy()
+    out = ALL_OPS[op](mid, ps)
+    np.testing.assert_array_equal(value, value_before)
+    for name, var in ps.items():
+        np.testing.assert_array_equal(var.value, before[name])
+    assert out.parents or operand == "array"
+    for _, back in out.parents:
+        g = rng.normal(size=out.value.shape)
+        g_before = g.copy()
+        back(g)
+        np.testing.assert_array_equal(g, g_before)
