@@ -126,6 +126,28 @@ def _train_config(doc: dict, g: AttributedGraph) -> TrainConfig:
     return config
 
 
+def _output_path(path, directory: bool) -> Path:
+    """`path` as an output directory (created when first written) or file,
+    checked before any work and without creating anything: the nearest
+    existing directory it would be written under must be writable."""
+    path = Path(path)
+    if directory:
+        existing = path
+        while not os.path.lexists(existing):
+            existing = existing.parent
+    elif path.is_dir():
+        raise ConfigError(f"output file {path} is a directory")
+    else:
+        existing = path.parent
+    if not existing.is_dir():
+        reason = ("is not a directory" if os.path.lexists(existing)
+                  else "does not exist")
+        raise ConfigError(f"cannot write {path}: {existing} {reason}")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"cannot write {path}: {existing} is not writable")
+    return path
+
+
 def _pe_path(directory: Path, g: AttributedGraph, k_pe: int) -> Path:
     """`pe-<sha256>.npy` in `directory`, keyed by everything the walk
     operators depend on: the node count, `k_pe` and the edge list. The
@@ -210,6 +232,8 @@ def _write_embeddings(path, source, target) -> None:
 
 def cmd_train(args) -> int:
     doc = load_config(args.config)
+    out_dir = args.output_dir or doc.get("output_dir", "hencler_out")
+    out_dir = _output_path(out_dir, directory=True)
     g = _load_dataset(doc)
     config = _train_config(doc, g)
     if args.repeats < 1:
@@ -220,7 +244,6 @@ def cmd_train(args) -> int:
         raise ConfigError("metric tracking needs label_path (set eval_every "
                           "to 0 to train without labels)")
     config = replace(config, seed=_resolve_seed(config.seed))
-    out_dir = Path(args.output_dir or doc.get("output_dir", "hencler_out"))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     pe = _positional_encoding(g, config.k_pe, out_dir, store=True)
@@ -258,7 +281,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    out_dir = Path(args.output_dir or "hencler_oracle")
+    out_dir = _output_path(args.output_dir or "hencler_oracle",
+                           directory=True)
     seed = _resolve_seed(args.seed)
     doc = load_config(args.config)
     g = _load_dataset(doc)
@@ -342,9 +366,9 @@ def cmd_benchmark(args) -> int:
     if args.epochs < 0:
         raise ConfigError(f"--epochs must be >= 0, got {args.epochs}")
     seed = _resolve_seed(args.seed)
+    out_path = _output_path(args.output, directory=False)
     result = run_benchmark(sizes, epochs=args.epochs, seed=seed,
                            measure_memory=args.memory)
-    out_path = Path(args.output)
     with open(out_path, "w", encoding="utf-8") as handle:
         header = "n,seconds,pe_seconds" + (",peak_mb" if args.memory else "")
         handle.write(header + "\n")
@@ -366,6 +390,7 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_export_similarity(args) -> int:
+    out_path = _output_path(args.output, directory=False)
     doc = load_config(args.config)
     g = _load_dataset(doc)
     if g.num_nodes > args.max_nodes:
@@ -384,7 +409,6 @@ def cmd_export_similarity(args) -> int:
     sorted_sim = sim[np.ix_(order, order)]
     asymmetry = float(np.max(np.abs(sim - sim.T)))
     print(f"max |S - S^T| = {asymmetry:.3e}")
-    out_path = Path(args.output)
     with open(out_path, "w", encoding="utf-8") as handle:
         for row in sorted_sim:
             handle.write(",".join(repr(float(x)) for x in row) + "\n")

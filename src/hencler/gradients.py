@@ -14,6 +14,14 @@ never mutates node state, so re-running it yields identical gradients), and
 `grad_check` validates any loss builder against central finite differences
 with per-coordinate kink rejection.
 
+A node keeps a parent only if a gradient can reach a leaf through it: the
+parent is a leaf, or it has parents itself. An op on plain arrays alone
+therefore makes a node without parents, which no later node keeps, and its
+closures and the arrays they capture are freed with its `Var`. Run on
+plain arrays instead of leaves, the same builders are an inference forward
+that records no tape and frees each intermediate once the next op has used
+it.
+
 No op writes into an array it did not allocate: operand values may be
 parameters or model inputs, and add, sub, reshape, transpose and concat
 return the incoming gradient or views of it, which other rules receive
@@ -65,6 +73,9 @@ class NonFiniteError(ArithmeticError):
         self.primitive = primitive
 
 
+_LEAVES = ("leaf", "param")
+
+
 class _Node:
     """One node of the tape: the op and its backward rules, without the
     value, so a value lives only as long as its `Var` or a rule that reads
@@ -88,9 +99,11 @@ class Var:
 
     def __init__(self, value, parents=(), op="leaf", kink_mask=None):
         self.value = value
-        # parents: pairs of (Var, fn); array operands are dropped
+        # parents: pairs of (Var, fn). Only a parent a gradient can reach a
+        # leaf through is kept: a leaf, or a node with parents of its own.
         self.node = _Node(tuple((p.node, fn) for p, fn in parents
-                                if p.node.op != "const"), op, kink_mask)
+                                if p.node.parents or p.node.op in _LEAVES),
+                          op, kink_mask)
 
     @property
     def parents(self):
@@ -123,7 +136,8 @@ class Var:
 
 def _lift(x) -> Var:
     """An operand as a Var; anything else becomes a float64 op="const" Var
-    (a float64 array without a copy), which no node keeps as a parent."""
+    (a float64 array without a copy). It is neither a leaf nor has parents,
+    so no node keeps it as a parent."""
     if isinstance(x, Var):
         return x
     return Var(np.asarray(x, dtype=np.float64), op="const")

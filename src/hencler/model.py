@@ -7,6 +7,8 @@ per-node embedding pair; two decoders reconstruct node features and edges.
 
 All forward arithmetic lives in the tape builders (`feature_maps`,
 `projections`, ...); `map_features` wraps the first for plain arrays.
+Only the training forward runs them on `HenclerParams.leaves()`; on the
+plain arrays they record no tape.
 """
 
 from __future__ import annotations
@@ -71,7 +73,9 @@ class HenclerParams:
         return "dst.w1" not in self.arrays
 
     def leaves(self) -> dict[str, ad.Var]:
-        """The arrays as the tape's trainable leaves, under the same names.
+        """The arrays as the tape's trainable leaves, under the same names,
+        for the training forward; a forward that takes no gradient runs on
+        `arrays` and records no tape.
 
         Each leaf holds its array itself, not a copy, so an in-place update
         of a leaf's value is an update of `arrays`.
@@ -140,7 +144,7 @@ def _mlp(ps, x: np.ndarray, prefix: str) -> ad.Var:
     return ad.softplus(normed)
 
 
-def feature_maps(ps: dict[str, ad.Var],
+def feature_maps(ps: dict[str, ad.Var] | dict[str, np.ndarray],
                  x_aug: np.ndarray) -> tuple[ad.Var, ad.Var]:
     """Tape forward of both feature-map MLPs on [features || PE] rows.
 
@@ -151,7 +155,8 @@ def feature_maps(ps: dict[str, ad.Var],
     return source, target
 
 
-def projections(ps: dict[str, ad.Var], source: ad.Var | np.ndarray,
+def projections(ps: dict[str, ad.Var] | dict[str, np.ndarray],
+                source: ad.Var | np.ndarray,
                 target: ad.Var | np.ndarray) -> tuple[ad.Var, ad.Var]:
     return ad.matmul(source, ps["proj_src"]), ad.matmul(target, ps["proj_dst"])
 
@@ -185,7 +190,12 @@ def _augmented_input(g: AttributedGraph, pe: np.ndarray) -> np.ndarray:
 
 def map_features(g: AttributedGraph, pe: np.ndarray,
                  params: HenclerParams) -> SimilarityFactor:
-    """Run both feature maps over all nodes."""
+    """Run both feature maps over all nodes.
+
+    The builders run on the plain parameter arrays, not on leaves, so no
+    tape is recorded and each intermediate is freed once the next op has
+    used it; the ops and their bits are the training forward's.
+    """
     x_aug = _augmented_input(g, pe)
     expected = params.dims.d_in
     if x_aug.shape[1] != expected:
@@ -193,7 +203,7 @@ def map_features(g: AttributedGraph, pe: np.ndarray,
             f"model expects input width {expected} (d_x {params.dims.d_x} + "
             f"k_pe {params.dims.k_pe}), got {x_aug.shape[1]} (features "
             f"{g.feature_dim} + k_pe {pe.shape[1]})")
-    source, target = feature_maps(params.leaves(), x_aug)
+    source, target = feature_maps(params.arrays, x_aug)
     return SimilarityFactor(source=source.value, target=target.value)
 
 

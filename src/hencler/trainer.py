@@ -173,7 +173,8 @@ def _project_unit_columns(ps: dict[str, ad.Var]) -> None:
 
 def _eval_embeddings(ps, x_aug):
     """Embeddings of the parameters after the last step, which no training
-    forward sees."""
+    forward sees. `ps` are the plain arrays, not leaves, since no gradient
+    is taken: the builders record no tape and give the same bits."""
     source, target = feature_maps(ps, x_aug)
     src_emb, dst_emb = projections(ps, source, target)
     return src_emb.value, dst_emb.value
@@ -255,7 +256,7 @@ def train(g: AttributedGraph, config: TrainConfig,
         # training time, for 280 instead of 370 MB peak RSS.
         parts = grads = None
         try:
-            record.embeddings = _eval_embeddings(ps, x_aug)
+            record.embeddings = _eval_embeddings(params.arrays, x_aug)
             if pending is not None:
                 track(pending, *record.embeddings)
         except ad.NonFiniteError as exc:

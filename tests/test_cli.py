@@ -355,9 +355,28 @@ def test_non_positive_sizes_exit_2(tmp_path, dataset, capsys, key, value):
     (["oracle", "--config", "{config}", "--checkpoint", "{checkpoint}",
       "--seed", "-1"], "seed"),
     (["benchmark", "--sizes", "50", "--epochs", "1", "--seed", "-1"], "seed"),
+    # "afile" is a file, so no output can go in or below it
+    (["train", "--config", "{config}", "--output-dir", "afile"], "afile"),
+    (["train", "--config", "{config}", "--output-dir", "afile/sub"], "afile"),
+    (["oracle", "--config", "{config}", "--checkpoint", "{checkpoint}",
+      "--output-dir", "afile"], "afile"),
+    (["oracle", "--config", "{config}", "--checkpoint", "{checkpoint}",
+      "--output-dir", "afile/sub"], "afile"),
+    (["export-similarity", "--config", "{config}", "--checkpoint",
+      "{checkpoint}", "--output", "afile/x.csv"], "afile"),
+    (["export-similarity", "--config", "{config}", "--checkpoint",
+      "{checkpoint}", "--output", "out"], "out"),
+    (["benchmark", "--sizes", "50", "--epochs", "1", "--output",
+      "afile/x.csv"], "afile"),
+    (["benchmark", "--sizes", "50", "--epochs", "1", "--output",
+      "missing/x.csv"], "missing"),
 ], ids=["repeats-0", "repeats-neg", "sizes-abc", "sizes-9", "epochs-neg",
         "oracle-missing-checkpoint", "export-missing-checkpoint",
-        "env-seed-neg", "oracle-seed-neg", "benchmark-seed-neg"])
+        "env-seed-neg", "oracle-seed-neg", "benchmark-seed-neg",
+        "train-output-file", "train-output-below-file", "oracle-output-file",
+        "oracle-output-below-file", "export-output-below-file",
+        "export-output-directory", "benchmark-output-below-file",
+        "benchmark-output-missing-directory"])
 def test_bad_arguments_exit_2_and_write_nothing(tmp_path, dataset,
                                                 monkeypatch, capsys, argv,
                                                 named):
@@ -366,6 +385,7 @@ def test_bad_arguments_exit_2_and_write_nothing(tmp_path, dataset,
     if "{checkpoint}" in argv:  # a real one, so only the named value is bad
         assert main(["train", "--config", str(config)]) == EXIT_OK
     monkeypatch.chdir(tmp_path)  # default output paths land in tmp_path
+    (tmp_path / "afile").touch()
     while "=" in argv[0]:  # leading NAME=value words set the environment
         name, value = argv[0].split("=", 1)
         monkeypatch.setenv(name, value)
@@ -377,6 +397,16 @@ def test_bad_arguments_exit_2_and_write_nothing(tmp_path, dataset,
     err = capsys.readouterr().err
     assert "input error" in err and named in err, err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_unwritable_output_directory_exits_2(tmp_path, dataset, monkeypatch,
+                                            capsys):
+    # a test run as root may write anywhere, so the permission answer is faked
+    config = write_config(tmp_path, dataset)
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+    assert "not writable" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_tracking_without_labels_exits_2_and_writes_nothing(tmp_path,

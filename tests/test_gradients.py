@@ -213,6 +213,34 @@ def test_array_operands_are_not_parents():
     np.testing.assert_array_equal(out.value, np.full((4, 2), 3.0))
 
 
+def test_array_only_subexpressions_are_dropped_with_their_captures():
+    # no gradient reaches a leaf through an op on plain arrays, nor through
+    # one on Vars built from plain arrays alone, so neither is kept as a
+    # parent, and the arrays their rules captured are freed with them
+    rng = np.random.default_rng(16)
+    ps = make_params(w=rng.normal(size=(4, 3)))
+    a, b, c = (rng.normal(size=(4, 5)), rng.normal(size=(5, 3)),
+               rng.normal(size=(4, 3)))
+    product = ad.matmul(a, b)
+    branch = ad.mul(product, c)
+    assert product.parents == () and branch.parents == ()
+    refs = [weakref.ref(x) for x in (a, b, c, product.value)]
+    square = ad.square(ps["w"])
+    out = ad.mul(square, branch)
+    assert [node for node, _ in out.parents] == [square.node]
+    plain = branch.value.copy()
+    del a, b, c, product, branch
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * 4
+    # a Var without parents is kept only as a leaf
+    assert [node for node, _ in ad.add(ps["w"], plain).parents] \
+        == [ps["w"].node]
+    got = ad.backward(ad.reduce_sum(out), wrt=ps)["w"]
+    want = ad.backward(ad.reduce_sum(ad.mul(ad.square(ps["w"]), plain)),
+                       wrt=ps)["w"]
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_backward_is_pure():
     rng = np.random.default_rng(10)
     ps = make_params(x=rng.normal(size=(4, 2)))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hencler.graphio import random_walk_pe
 from hencler.model import CheckpointError, HenclerParams, ModelDims, \
     edge_logits, feature_maps, init_params, load_checkpoint, map_features, \
     node_decoder, projections, save_checkpoint, similarity_matrix
+from hencler.synthetic import random_sparse_graph
 from conftest import tiny_graph
 
 LEAKY = 0.01
@@ -95,6 +97,33 @@ def test_map_features_matches_straight_line_oracle():
     np.testing.assert_allclose(sf.target,
                                np_feature_map(x_aug, params.arrays, "dst"),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_map_features_is_the_training_forward_bitwise(tied):
+    # on plain arrays the tape builders record no tape, with the same ops
+    g = tiny_graph(num_nodes=40, d_x=5, seed=6)
+    pe, params = make_model(g, k_pe=4, hidden=32, d_f=16, seed=7, tied=tied)
+    sf = map_features(g, pe, params)
+    source, target = feature_maps(params.leaves(),
+                                  np.hstack([g.features, pe]))
+    for got, want in ((sf.source, source.value), (sf.target, target.value)):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_map_features_keeps_no_tape():
+    # At n = 2000 and default dims, map_features peaked at 28.5 MB under
+    # tracemalloc while it recorded the tape, and at 17.7 MB without it.
+    n = 2000
+    g = random_sparse_graph(n, avg_degree=4, feature_dim=16, seed=8)
+    pe = np.random.default_rng(0).uniform(0, 1, size=(n, 16))
+    params = init_params(ModelDims(d_x=16, k_pe=16, hidden=256, d_f=128,
+                                   s=3))
+    tracemalloc.start()
+    map_features(g, pe, params)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 23e6
 
 
 def test_map_features_validates_width():
