@@ -224,10 +224,10 @@ def _write_embeddings(path, source, target) -> None:
                       + [f"r{i}" for i in range(s)])
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(header + "\n")
-        for node in range(source.shape[0]):
-            row = [str(node)] + [repr(float(x)) for x in source[node]] \
-                + [repr(float(x)) for x in target[node]]
-            handle.write(",".join(row) + "\n")
+        rows = zip(source.tolist(), target.tolist())
+        for node, (src_row, dst_row) in enumerate(rows):
+            handle.write(",".join([str(node), *map(repr, src_row + dst_row)])
+                         + "\n")
 
 
 def cmd_train(args) -> int:

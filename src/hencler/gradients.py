@@ -277,13 +277,19 @@ def _stable_sigmoid(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def softplus(a) -> Var:
-    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)); smooth and stable."""
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)); smooth and stable.
+    Backward reads the output: sigmoid(x) = -expm1(-softplus(x))."""
     a = _lift(a)
-    e, sig = _stable_sigmoid(a.value)
+    e = np.abs(a.value)
+    np.exp(np.negative(e, out=e), out=e)
     out = np.maximum(a.value, 0.0)
     out += np.log1p(e, out=e)
-    return Var(_check(out, "softplus"), ((a, lambda g: g * sig),),
-               op="softplus")
+
+    def back(g):
+        sig = np.expm1(np.negative(out))
+        return np.negative(np.multiply(sig, g, out=sig), out=sig)
+
+    return Var(_check(out, "softplus"), ((a, back),), op="softplus")
 
 
 def log_sigmoid(a) -> Var:

@@ -163,11 +163,16 @@ def projections(ps: dict[str, ad.Var] | dict[str, np.ndarray],
 
 def node_decoder(ps: dict[str, ad.Var], src_emb: ad.Var | np.ndarray,
                  dst_emb: ad.Var | np.ndarray) -> ad.Var:
-    """Reconstruct node features from [U e_v || V r_v] with the decoder MLP."""
-    back_src = ad.matmul(src_emb, ad.transpose(ps["proj_src"]))
-    back_dst = ad.matmul(dst_emb, ad.transpose(ps["proj_dst"]))
-    joined = ad.concat(back_src, back_dst, axis=1)
-    hidden = ad.leaky_relu(ad.matmul(joined, ps["rec.w1"]) + ps["rec.b1"])
+    """Reconstruct node features from [U e_v || V r_v] with the decoder MLP.
+    The first layer runs in rank-s form, e (Uᵀ W_top) + r (Vᵀ W_bot), with
+    W_top and W_bot the first and last d_f rows of rec.w1: no n × d_f array."""
+    top_rows, bot_rows = np.split(np.arange(ps["rec.w1"].shape[0]), 2)
+    top = ad.matmul(ad.transpose(ps["proj_src"]),
+                    ad.gather_rows(ps["rec.w1"], top_rows))  # (s, hidden)
+    bot = ad.matmul(ad.transpose(ps["proj_dst"]),
+                    ad.gather_rows(ps["rec.w1"], bot_rows))
+    hidden = ad.leaky_relu(ad.matmul(src_emb, top) + ad.matmul(dst_emb, bot)
+                           + ps["rec.b1"])
     return ad.matmul(hidden, ps["rec.w2"]) + ps["rec.b2"]
 
 

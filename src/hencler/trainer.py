@@ -251,9 +251,7 @@ def train(g: AttributedGraph, config: TrainConfig,
         # freed only when the next forward replaces `parts`, on purpose:
         # freeing it at the end of the epoch body lowers the peak, but malloc
         # then trims the top of the heap and the next forward faults those
-        # pages back in. At n = 8000 over 20 epochs (2 cores) that gave 8x
-        # the minor page faults, 5x the system time and about 10% more
-        # training time, for 280 instead of 370 MB peak RSS.
+        # pages back in, which costs more training time than it saves memory.
         parts = grads = None
         try:
             record.embeddings = _eval_embeddings(params.arrays, x_aug)

@@ -96,6 +96,23 @@ def test_train_roundtrip_outputs(tmp_path, dataset):
     assert ckpt.dims.d_f == 6
 
 
+def test_embeddings_rows_are_the_repr_of_each_float(tmp_path):
+    # the rows as written by repr(float(x)) on each numpy scalar
+    rng = np.random.default_rng(20)
+    source = np.vstack([[-0.0, 5e-324, 1e300], [3.0, -2.0, 0.0],
+                        rng.normal(size=(4, 3)) * 10.0 ** rng.integers(
+                            -300, 300, size=(4, 3))])
+    target = np.vstack([[1e-300, -5e-324, 1.0], [1e16, -7.0, 2.0 ** 60],
+                        rng.normal(size=(4, 3))])
+    want = "node,e0,e1,e2,r0,r1,r2\n" + "".join(
+        ",".join([str(node)] + [repr(float(x)) for x in source[node]]
+                 + [repr(float(x)) for x in target[node]]) + "\n"
+        for node in range(source.shape[0]))
+    cli._write_embeddings(tmp_path / "embeddings.csv", source, target)
+    assert (tmp_path / "embeddings.csv").read_bytes() == want.encode("utf-8")
+    assert "-0.0" in want and "5e-324" in want and "1e+300" in want
+
+
 def test_train_outputs_byte_identical_across_runs(tmp_path, dataset):
     config = write_config(tmp_path, dataset)
     main(["train", "--config", str(config)])

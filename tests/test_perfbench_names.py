@@ -1,19 +1,27 @@
-"""The hencler names perfbench reads must exist.
+"""The hencler names perfbench reads must exist, and importing hencler
+must stay silent.
 
 perfbench's tracer wraps hencler functions by name and reads span names
 back into per-layer metrics, so a renamed function would silently read as
-zero. These checks turn such a rename into a failure.
+zero. These checks turn such a rename into a failure. `perfbench/run.py`
+imports `hencler.synthetic` and prints its JSON result as its last line,
+so an import that writes output or leaves a thread running could break
+that line.
 """
 
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_by_path(name):
@@ -70,3 +78,24 @@ def test_private_aliases_and_ops_are_hencler_functions(perfbench):
             (module, attribute)
     for op in run.OPS:
         assert hencler_function("gradients", op) is not None, op
+
+
+def test_import_writes_nothing():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import hencler, hencler.cli, hencler.synthetic"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": path},
+        timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+
+
+def test_import_starts_no_thread(monkeypatch):
+    # import hencler afresh; monkeypatch puts the loaded modules back after
+    for name in [name for name in sys.modules
+                 if name == "hencler" or name.startswith("hencler.")]:
+        monkeypatch.delitem(sys.modules, name)
+    before = threading.active_count()
+    importlib.import_module("hencler.cli")
+    importlib.import_module("hencler.synthetic")
+    assert threading.active_count() == before
