@@ -105,7 +105,6 @@ def _param_shapes(dims: ModelDims, tied: bool) -> dict[str, tuple]:
             f"{prefix}.w1": (dims.d_in, dims.hidden),
             f"{prefix}.b1": (dims.hidden,),
             f"{prefix}.w2": (dims.hidden, dims.d_f),
-            f"{prefix}.b2": (dims.d_f,),
             f"{prefix}.bn_gamma": (dims.d_f,),
             f"{prefix}.bn_beta": (dims.d_f,),
         })
@@ -120,7 +119,8 @@ def _param_shapes(dims: ModelDims, tied: bool) -> dict[str, tuple]:
 
 def init_params(dims: ModelDims, seed: int = 0, tied: bool = False) -> HenclerParams:
     """Xavier-uniform matrices drawn in `_param_shapes` order, zero biases and
-    batchnorm shifts, unit batchnorm scales."""
+    batchnorm shifts, unit batchnorm scales. The feature maps' second layer
+    has no bias: batchnorm would cancel it."""
     rng = np.random.default_rng(seed)
     arrays = {}
     for name, shape in _param_shapes(dims, tied).items():
@@ -135,8 +135,10 @@ def init_params(dims: ModelDims, seed: int = 0, tied: bool = False) -> HenclerPa
 
 def _mlp(ps, x: np.ndarray, prefix: str) -> ad.Var:
     hidden = ad.leaky_relu(ad.matmul(x, ps[f"{prefix}.w1"]) + ps[f"{prefix}.b1"])
-    out = ad.matmul(hidden, ps[f"{prefix}.w2"]) + ps[f"{prefix}.b2"]
-    normed = ad.batchnorm(out, ps[f"{prefix}.bn_gamma"], ps[f"{prefix}.bn_beta"],
+    # No bias before batchnorm: it always subtracts the batch mean, which
+    # would cancel a per-column bias exactly; bn_beta is the layer's shift.
+    normed = ad.batchnorm(ad.matmul(hidden, ps[f"{prefix}.w2"]),
+                          ps[f"{prefix}.bn_gamma"], ps[f"{prefix}.bn_beta"],
                           eps=BN_EPS)
     # Strictly positive map entries make every similarity degree genuinely
     # positive (the random-walk weighting is then well defined with no
@@ -219,9 +221,8 @@ def similarity_matrix(sf: SimilarityFactor) -> np.ndarray:
 
 def save_checkpoint(params: HenclerParams, path) -> None:
     doc = {
-        "version": 2,
+        "version": 3,
         "dims": asdict(params.dims),
-        "tied": params.tied,
         "params": {
             name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
             for name, arr in params.arrays.items()
@@ -231,10 +232,10 @@ def save_checkpoint(params: HenclerParams, path) -> None:
 
 
 def load_checkpoint(path) -> HenclerParams:
-    """Read a checkpoint. Its dims must be positive integers, `tied` a
-    boolean, and its parameters finite and equal to `_param_shapes(dims,
-    tied)` in names and shapes; otherwise CheckpointError names the first
-    field that is not."""
+    """Read a checkpoint. Its dims must be positive integers, and its
+    parameters finite and equal to `_param_shapes(dims, tied)` in names and
+    shapes, with `tied` read from the names as `HenclerParams.tied` does;
+    otherwise CheckpointError names the first field that is not."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -243,12 +244,11 @@ def load_checkpoint(path) -> HenclerParams:
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: malformed JSON: {exc}") from exc
     version = doc.get("version") if isinstance(doc, dict) else None
-    if version != 2:
+    if version != 3:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version: {version!r}")
     try:
         dims = ModelDims(**doc["dims"])
-        tied = doc["tied"]
         arrays = {name: np.asarray(entry["data"], dtype=np.float64)
                   .reshape(entry["shape"])
                   for name, entry in doc["params"].items()}
@@ -259,10 +259,8 @@ def load_checkpoint(path) -> HenclerParams:
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise CheckpointError(f"{path}: dims.{name} must be a positive "
                                   f"integer, got {value!r}")
-    if not isinstance(tied, bool):
-        raise CheckpointError(f"{path}: tied must be true or false, "
-                              f"got {tied!r}")
-    expected = _param_shapes(dims, tied)
+    params = HenclerParams(dims=dims, arrays=arrays)
+    expected = _param_shapes(dims, params.tied)
     missing = sorted(set(expected) - set(arrays))
     extra = sorted(set(arrays) - set(expected))
     if missing or extra:
@@ -276,4 +274,4 @@ def load_checkpoint(path) -> HenclerParams:
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(
                 f"{path}: parameter {name!r} has non-finite values")
-    return HenclerParams(dims=dims, arrays=arrays)
+    return params

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,15 @@ def tiny_graph(num_nodes=6, d_x=4, seed=0, with_labels=True):
     edges = np.unique(np.asarray(edges, dtype=np.int64), axis=0)
     labels = rng.integers(0, 2, size=num_nodes) if with_labels else None
     return AttributedGraph(edges, rng.normal(size=(num_nodes, d_x)), labels)
+
+
+def version_2_doc(doc):
+    """`doc`, a version-3 checkpoint of an untied model, in the format
+    before the pre-batchnorm biases were deleted: version 2, with `tied`
+    and src.b2 and dst.b2."""
+    old = json.loads(json.dumps(doc))
+    old.update(version=2, tied=False)
+    d_f = doc["dims"]["d_f"]
+    for prefix in ("src", "dst"):
+        old["params"][f"{prefix}.b2"] = {"shape": [d_f], "data": [0.0] * d_f}
+    return old

@@ -9,6 +9,7 @@ from hencler import cli, model
 from hencler.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, main, run_benchmark
 from hencler.graphio import AttributedGraph, load_graph, random_walk_pe
 from hencler.synthetic import heterophilous_blobs, write_graph_tsv
+from conftest import version_2_doc
 
 
 @pytest.fixture
@@ -293,9 +294,10 @@ def test_mismatched_checkpoint_exits_2(tmp_path, dataset, capsys):
     reshaped["params"]["proj_src"]["shape"].reverse()
     huge = json.loads(json.dumps(doc))
     huge["dims"]["d_f"] = 10 ** 15
-    for name, bad in (("rec.w1", missing), ("proj_src", reshaped),
-                      ("src.w2", huge)):
-        path = tmp_path / f"bad-{name}.json"
+    for i, (name, bad) in enumerate((
+            ("rec.w1", missing), ("proj_src", reshaped), ("src.w2", huge),
+            ("unsupported checkpoint version: 2", version_2_doc(doc)))):
+        path = tmp_path / f"bad-{i}.json"
         path.write_text(json.dumps(bad))
         for command in (["oracle", "--output-dir", str(tmp_path / "oracle")],
                         ["export-similarity",

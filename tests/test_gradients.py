@@ -86,13 +86,21 @@ def test_batchnorm_fd():
 
 
 def test_batchnorm_stats_are_functions_of_input():
-    # A constant column shift must not change the output (mean is recomputed).
+    # A per-column shift b of the input changes neither the output (the mean
+    # is recomputed) nor any loss of it, so b's gradient is zero to rounding:
+    # a bias before batchnorm is a dead parameter.
     rng = np.random.default_rng(4)
     x = rng.normal(size=(6, 3))
-    gamma, beta = np.ones(3), np.zeros(3)
-    a = ad.batchnorm(x, gamma, beta)
-    b = ad.batchnorm(x + 5.0, gamma, beta)
-    np.testing.assert_allclose(a.value, b.value, atol=1e-10)
+    ps = make_params(b=5.0 * rng.normal(size=3), gamma=np.ones(3),
+                     beta=np.zeros(3))
+    plain = ad.batchnorm(x, ps["gamma"], ps["beta"])
+    shifted = ad.batchnorm(ad.add(x, ps["b"]), ps["gamma"], ps["beta"])
+    np.testing.assert_allclose(plain.value, shifted.value, atol=1e-10)
+    loss = ad.reduce_sum(ad.mul(shifted, rng.normal(size=(6, 3))))
+    grads = ad.backward(loss, wrt=ps)
+    scale = np.max(np.abs(grads["gamma"]))
+    assert scale > 0.1
+    assert np.max(np.abs(grads["b"])) < 1e-12 * scale
 
 
 def test_softplus_sigmoid_chain_fd():
