@@ -6,8 +6,8 @@ S = Phi Psi^T) or as a dense matrix. The factored form is exact and costs
 O(n d_f^2): S has rank at most d_f, so a QR of each degree-scaled factor
 reduces the SVD to a d_f x d_f core and no n x n array is formed. The dense
 form serves inputs that only exist as matrices and is the tests' reference.
-Also here: weighted centering, the stationarity residual, and a sampling
-check of the conjugate-duality inequality that underpins the construction.
+Also here: the stationarity residual, weighted like the eigen-form check by
+the inverse degrees of S.
 """
 
 from __future__ import annotations
@@ -23,16 +23,12 @@ from .model import SimilarityFactor
 
 __all__ = [
     "DualSolution",
-    "center_primal",
-    "center_dual",
     "bicluster",
     "stationarity_residual",
     "eigen_form_check",
-    "fenchel_young_check",
 ]
 
 _TINY = np.finfo(np.float64).eps
-_SLACK = 1e-12  # rounding allowance of fenchel_young_check
 
 
 @dataclass(frozen=True)
@@ -42,27 +38,6 @@ class DualSolution:
     left_vectors: np.ndarray  # (n, s), orthonormal columns
     right_vectors: np.ndarray  # (m, s), orthonormal columns
     singular_values: np.ndarray  # (s,), descending
-
-
-def center_primal(features, weights) -> np.ndarray:
-    """Subtract the weighted mean row from every row."""
-    feats = np.asarray(features, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if np.any(w <= 0):
-        raise ValueError("centering weights must be strictly positive")
-    mean = (w @ feats) / w.sum()
-    return feats - mean
-
-
-def center_dual(similarity, w1, w2) -> np.ndarray:
-    """Center a similarity matrix as M1 @ S @ M2.T, matching primal centering."""
-    s = np.asarray(similarity, dtype=np.float64)
-    w1 = np.asarray(w1, dtype=np.float64)
-    w2 = np.asarray(w2, dtype=np.float64)
-    n, m = s.shape
-    m1 = np.eye(n) - np.outer(np.ones(n), w1) / w1.sum()
-    m2 = np.eye(m) - np.outer(np.ones(m), w2) / w2.sum()
-    return m1 @ s @ m2.T
 
 
 def _degree_weights(s) -> tuple[np.ndarray, np.ndarray]:
@@ -139,16 +114,8 @@ def _relative(residual: np.ndarray, reference: np.ndarray) -> float:
                  / max(np.linalg.norm(reference), _TINY))
 
 
-def _weights(s, w1, w2) -> tuple[np.ndarray, np.ndarray]:
-    """The given weights, or the inverse clamped degrees of S when unset."""
-    if w1 is None or w2 is None:
-        d1, d2 = _degree_weights(s)
-        return 1.0 / d1, 1.0 / d2
-    return np.asarray(w1, dtype=np.float64), np.asarray(w2, dtype=np.float64)
-
-
-def stationarity_residual(sf: SimilarityFactor, solution: DualSolution,
-                          w1=None, w2=None) -> float:
+def stationarity_residual(sf: SimilarityFactor, solution: DualSolution
+                          ) -> float:
     """Max relative residual of the four stationarity conditions.
 
     The two conditions defining the projection matrices are used to
@@ -157,11 +124,12 @@ def stationarity_residual(sf: SimilarityFactor, solution: DualSolution,
     Those are the two block rows of the system `eigen_form_check` measures,
     with the products associated differently, so the two agree up to
     rounding for any solution: this is not an independent check.
-    The factors are float64; the weights default to the inverse degrees of
-    S = Phi Psi^T.
+    The factors are float64; the weights are w1 = 1/d1 and w2 = 1/d2, the
+    inverse degrees of S = Phi Psi^T.
     """
     phi, psi = sf.source, sf.target
-    w1, w2 = _weights(sf, w1, w2)
+    d1, d2 = _degree_weights(sf)
+    w1, w2 = 1.0 / d1, 1.0 / d2
     h_e, h_r = solution.left_vectors, solution.right_vectors
     sing = solution.singular_values
     if phi.shape[0] != h_e.shape[0] or psi.shape[0] != h_r.shape[0]:
@@ -198,32 +166,3 @@ def eigen_form_check(similarity, solution: DualSolution) -> float:
     top = _relative(s_h_r - h_e * sing[None, :], h_e * sing[None, :])
     bottom = _relative(s_t_h_e - h_r * sing[None, :], h_r * sing[None, :])
     return max(top, bottom)
-
-
-def fenchel_young_check(num_samples: int, dims: int, seed: int = 0) -> int:
-    """Sample the conjugate-duality inequality; returns the violation count.
-
-    For random e, h, w > 0 and diagonal Sigma > 0 checks
-        w/2 e' Sigma^-1 e + 1/2 h' Sigma h >= sqrt(w) e' h - _SLACK
-    and that equality holds at h = sqrt(w) Sigma^-1 e.
-    """
-    rng = np.random.default_rng(seed)
-    violations = 0
-    for _ in range(num_samples):
-        dim = int(rng.integers(1, dims + 1))
-        e = rng.normal(size=dim)
-        h = rng.normal(size=dim)
-        w = float(rng.uniform(0.1, 10.0))
-        sigma = rng.uniform(0.1, 2.0, size=dim)
-        lhs = 0.5 * w * np.sum(e * e / sigma) + 0.5 * np.sum(h * h * sigma)
-        rhs = np.sqrt(w) * np.dot(e, h)
-        if lhs < rhs - _SLACK:
-            violations += 1
-        h_star = np.sqrt(w) * e / sigma
-        lhs_star = 0.5 * w * np.sum(e * e / sigma) + 0.5 * np.sum(
-            h_star * h_star * sigma)
-        rhs_star = np.sqrt(w) * np.dot(e, h_star)
-        if abs(lhs_star - rhs_star) > _SLACK * max(1.0, abs(lhs_star),
-                                                   abs(rhs_star)):
-            violations += 1
-    return violations

@@ -10,9 +10,9 @@ come as a dict of named `Var`s, and `backward` returns their gradients under
 the same names. An op also takes plain arrays (inputs, targets, labels):
 such an operand is captured by the closures of the op that uses it and is
 never a parent, so no gradient is computed for it. `backward` is pure (it
-never mutates node state, so re-running it yields identical gradients), and
-`grad_check` validates any loss builder against central finite differences
-with per-coordinate kink rejection.
+never mutates node state, so re-running it yields identical gradients).
+Piecewise-linear ops record their branch pattern on the node, which lets a
+finite-difference check tell a kink crossing from a wrong gradient.
 
 A node keeps a parent only if a gradient can reach a leaf through it: the
 parent is a leaf, or it has parents itself. An op on plain arrays alone
@@ -30,8 +30,6 @@ or the backward rule allocated itself.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -61,7 +59,6 @@ __all__ = [
     "sqrt",
     "clamp_min",
     "backward",
-    "grad_check",
 ]
 
 
@@ -71,9 +68,6 @@ class NonFiniteError(ArithmeticError):
     def __init__(self, primitive: str):
         super().__init__(f"non-finite value produced by primitive '{primitive}'")
         self.primitive = primitive
-
-
-_LEAVES = ("leaf", "param")
 
 
 class _Node:
@@ -87,22 +81,24 @@ class _Node:
         # tuple of (_Node, fn: out_grad -> parent_grad)
         self.parents = parents
         self.op = op
-        # Boolean branch pattern for piecewise-linear ops; used by grad_check
-        # to reject finite-difference coordinates that cross a kink.
+        # Boolean branch pattern for piecewise-linear ops; the tests'
+        # finite-difference check reads it to reject coordinates that cross
+        # a kink.
         self.kink_mask = kink_mask
 
 
 class Var:
-    """A value plus its tape node; the node refers to its parents' nodes."""
+    """A value plus its tape node; the node refers to its parents' nodes.
+    A Var made with no op is a trainable leaf, of op "param"."""
 
     __slots__ = ("value", "node")
 
-    def __init__(self, value, parents=(), op="leaf", kink_mask=None):
+    def __init__(self, value, parents=(), op="param", kink_mask=None):
         self.value = value
         # parents: pairs of (Var, fn). Only a parent a gradient can reach a
         # leaf through is kept: a leaf, or a node with parents of its own.
         self.node = _Node(tuple((p.node, fn) for p, fn in parents
-                                if p.node.parents or p.node.op in _LEAVES),
+                                if p.node.parents or p.node.op == "param"),
                           op, kink_mask)
 
     @property
@@ -421,12 +417,6 @@ def _topo_order(root: Var) -> list[_Node]:
     return order
 
 
-def kink_signature(root: Var) -> list[np.ndarray]:
-    """Branch patterns of all piecewise ops reachable from `root`, in topo order."""
-    return [node.kink_mask for node in _topo_order(root)
-            if node.kink_mask is not None]
-
-
 def backward(loss: Var, wrt: dict[str, Var]) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss with respect to the named Vars of `wrt`,
     under the same names; a Var the loss does not reach is left out.
@@ -454,61 +444,3 @@ def backward(loss: Var, wrt: dict[str, Var]) -> dict[str, np.ndarray]:
             del grads[id(node)]  # free intermediates early
     return {name: grads[id(var.node)] for name, var in wrt.items()
             if id(var.node) in grads}
-
-
-def _signatures_equal(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(np.array_equal(x, y) for x, y in zip(a, b))
-
-
-def grad_check(loss_builder: Callable[[dict[str, Var]], Var],
-               params: dict[str, Var], step: float = 1e-5,
-               coords_per_param: int = 20, seed: int = 0) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Samples at least `coords_per_param` coordinates of each named leaf.
-    A coordinate is skipped when either perturbed evaluation lands on a
-    different branch of a piecewise primitive (leaky-ReLU / clamp kink
-    crossing), where finite differences are meaningless. When the two
-    perturbed losses agree to within floating-point resolution the central
-    difference is numerically zero and is reported as such (measuring
-    sub-ulp differences would only amplify rounding noise).
-    """
-    for name, var in params.items():
-        if var.value.dtype != np.float64:
-            raise ValueError(f"grad_check requires float64 parameters ({name} "
-                             f"is {var.value.dtype})")
-    loss = loss_builder(params)
-    base_sig = kink_signature(loss)
-    grads = backward(loss, wrt=params)
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for name, var in params.items():
-        flat = var.value.reshape(-1)
-        size = flat.size
-        n_coords = min(size, max(coords_per_param, 1))
-        coords = rng.choice(size, size=n_coords, replace=False)
-        analytic_full = grads.get(name)
-        analytic_flat = (np.zeros(size) if analytic_full is None
-                         else analytic_full.reshape(-1))
-        for c in coords:
-            original = flat[c]
-            flat[c] = original + step
-            loss_plus = loss_builder(params)
-            sig_plus = kink_signature(loss_plus)
-            flat[c] = original - step
-            loss_minus = loss_builder(params)
-            sig_minus = kink_signature(loss_minus)
-            flat[c] = original
-            if not (_signatures_equal(sig_plus, base_sig)
-                    and _signatures_equal(sig_minus, base_sig)):
-                continue
-            lp, lm = float(loss_plus.value), float(loss_minus.value)
-            resolution = 128.0 * np.finfo(np.float64).eps \
-                * max(1.0, abs(lp), abs(lm))
-            fd = 0.0 if abs(lp - lm) <= resolution else (lp - lm) / (2.0 * step)
-            err = abs(analytic_flat[c] - fd) / max(abs(fd), 1e-8)
-            worst = max(worst, err)
-    return worst

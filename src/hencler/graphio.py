@@ -21,7 +21,6 @@ __all__ = [
     "AttributedGraph",
     "load_graph",
     "symmetrize",
-    "edge_homophily",
     "random_walk_pe",
 ]
 
@@ -162,16 +161,6 @@ def symmetrize(g: AttributedGraph) -> AttributedGraph:
     else:
         edges = g.edges
     return AttributedGraph(edges, g.features, g.labels)
-
-
-def edge_homophily(g: AttributedGraph) -> float:
-    """Fraction of edges whose endpoints share a label."""
-    if g.labels is None:
-        raise ValueError("edge_homophily requires node labels")
-    if g.num_edges == 0:
-        raise ValueError("edge_homophily undefined on an empty edge set")
-    same = g.labels[g.edges[:, 0]] == g.labels[g.edges[:, 1]]
-    return float(np.mean(same))
 
 
 def _walk_operators(g: AttributedGraph) -> tuple[sp.csr_matrix, sp.csr_matrix]:

@@ -1,4 +1,4 @@
-"""Dense matrix kernels: thin SVD, seeded kmeans++, and small utilities.
+"""Dense matrix kernels: thin SVD and seeded kmeans++.
 
 Everything here runs in float64. kmeans runs all its restarts as one
 batched Lloyd iteration, and each restart gets the labels it would get on
@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SvdConvergenceError", "thin_svd", "kmeans", "frobenius_relerr"]
+__all__ = ["SvdConvergenceError", "thin_svd", "kmeans"]
 
-_EPS = np.finfo(np.float64).eps
 _MAX_LLOYD_ITERS = 300
 
 
@@ -171,12 +170,3 @@ def kmeans(points, k: int, restarts: int = 10, seed: int = 0) -> np.ndarray:
     starts = np.stack([_pp_init(pts, k, rng) for _ in range(max(restarts, 1))])
     labels, wcss, _ = _lloyd(pts, starts)
     return labels[int(np.argmin(wcss))]
-
-
-def frobenius_relerr(a, b) -> float:
-    """||a - b||_F / max(||b||_F, machine epsilon)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), _EPS))

@@ -80,8 +80,7 @@ class HenclerParams:
         Each leaf holds its array itself, not a copy, so an in-place update
         of a leaf's value is an update of `arrays`.
         """
-        return {name: ad.Var(value, op="param")
-                for name, value in self.arrays.items()}
+        return {name: ad.Var(value) for name, value in self.arrays.items()}
 
 
 @dataclass(frozen=True)

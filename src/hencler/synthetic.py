@@ -1,4 +1,5 @@
-"""Synthetic graph generators for smoke runs, benchmarks, and recovery tests."""
+"""Synthetic graph generators for smoke runs and benchmarks, and a writer
+that puts a graph into the TSV files the loader reads."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ from .graphio import AttributedGraph, symmetrize
 __all__ = [
     "heterophilous_blobs",
     "random_sparse_graph",
-    "planted_block_similarity",
     "write_graph_tsv",
 ]
 
@@ -69,24 +69,6 @@ def random_sparse_graph(num_nodes: int, avg_degree: float = 8.0,
     edges = np.unique(np.stack([src[keep], dst[keep]], axis=1), axis=0)
     features = rng.normal(size=(num_nodes, feature_dim))
     return AttributedGraph(edges, features)
-
-
-def planted_block_similarity(block_sizes, noise: float = 0.01, seed: int = 0
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Square block-diagonal all-ones similarity with uniform off-block noise.
-
-    Returns (matrix, block labels); rows and columns share the layout. The
-    matrix is dense, n x n for n = sum(block_sizes).
-    """
-    rng = np.random.default_rng(seed)
-    total = int(np.sum(block_sizes))
-    labels = np.repeat(np.arange(len(block_sizes)), block_sizes)
-    sim = rng.uniform(0.0, noise, size=(total, total))
-    start = 0
-    for size in block_sizes:
-        sim[start:start + size, start:start + size] = 1.0
-        start += size
-    return sim, labels
 
 
 def write_graph_tsv(g: AttributedGraph, edge_path, feature_path,

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from hencler.dual import DualSolution, _normalized, bicluster, center_dual, \
-    center_primal, eigen_form_check, fenchel_young_check, \
-    stationarity_residual
+from hencler.dual import DualSolution, _normalized, bicluster, \
+    eigen_form_check, stationarity_residual
 from hencler.evaluate import nmi
-from hencler.linalg import frobenius_relerr, kmeans
+from hencler.linalg import kmeans
 from hencler.model import SimilarityFactor
-from hencler.synthetic import planted_block_similarity
+from reference import center_dual, center_primal, fenchel_young_check, \
+    frobenius_relerr, planted_block_similarity
 
 
 def positive_factors(n, m, d, seed):
@@ -109,12 +109,8 @@ def test_normalized_singulars_at_most_one_for_nonneg():
 def test_stationarity_exact_on_full_rank_solution():
     phi, psi = positive_factors(8, 6, 4, 5)
     sf = SimilarityFactor(source=phi, target=psi)
-    sim = phi @ psi.T
-    w1 = 1.0 / sim.sum(axis=1)
-    w2 = 1.0 / sim.sum(axis=0)
     for form, similarity in input_forms(phi, psi).items():
         _, _, solution = bicluster(similarity, k=4, seed=0)
-        assert stationarity_residual(sf, solution, w1, w2) < 1e-8, form
         assert stationarity_residual(sf, solution) < 1e-8, form
         assert eigen_form_check(similarity, solution) < 1e-8, form
 
@@ -124,14 +120,12 @@ def test_stationarity_detects_perturbation():
     sf = SimilarityFactor(source=phi, target=psi)
     sim = phi @ psi.T
     _, _, solution = bicluster(sim, k=4, seed=0)
-    w1 = 1.0 / sim.sum(axis=1)
-    w2 = 1.0 / sim.sum(axis=0)
     broken_left = solution.left_vectors.copy()
     broken_left[0, 0] += 0.1
     broken = DualSolution(left_vectors=broken_left,
                           right_vectors=solution.right_vectors,
                           singular_values=solution.singular_values)
-    assert stationarity_residual(sf, broken, w1, w2) > 1e-3
+    assert stationarity_residual(sf, broken) > 1e-3
 
 
 def test_rank_one_similarity_exact():
@@ -139,12 +133,9 @@ def test_rank_one_similarity_exact():
     phi = rng.uniform(0.5, 1.5, size=(5, 1))
     psi = rng.uniform(0.5, 1.5, size=(4, 1))
     sf = SimilarityFactor(source=phi, target=psi)
-    sim = phi @ psi.T
-    w1 = 1.0 / sim.sum(axis=1)
-    w2 = 1.0 / sim.sum(axis=0)
     for form, similarity in input_forms(phi, psi).items():
         _, _, solution = bicluster(similarity, k=1, seed=0)
-        assert stationarity_residual(sf, solution, w1, w2) < 1e-10, form
+        assert stationarity_residual(sf, solution) < 1e-10, form
         assert eigen_form_check(similarity, solution) < 1e-10, form
 
 
@@ -168,17 +159,28 @@ def test_eigen_form_negative_control(rng):
 
 def test_embedding_recovery_relation():
     # kmeans clusters e_i = sigma * h_i / sqrt(w1_i) with w = 1/degree,
-    # and the column embeddings alike
-    phi, psi = positive_factors(6, 5, 3, 8)
-    sim = phi @ psi.T
-    d1, d2 = sim.sum(axis=1), sim.sum(axis=0)
-    for similarity in input_forms(phi, psi).values():
-        rows, cols, solution = bicluster(similarity, k=3, seed=0)
-        sing = solution.singular_values[None, :]
-        src_emb = np.sqrt(d1)[:, None] * solution.left_vectors * sing
-        dst_emb = np.sqrt(d2)[:, None] * solution.right_vectors * sing
-        np.testing.assert_array_equal(rows, kmeans(src_emb, 3, seed=0))
-        np.testing.assert_array_equal(cols, kmeans(dst_emb, 3, seed=0))
+    # and the column embeddings alike. In the second input the row and
+    # column masses spread over e^-2..e^2, so kmeans of sigma * h without
+    # the sqrt(degree) factor finds other partitions on both sides.
+    rng = np.random.default_rng(7)
+    spread = [rng.uniform(0.1, 1.1, size=(size, 3))
+              * np.exp(rng.uniform(-2.0, 2.0, size=(size, 1)))
+              for size in (12, 10)]
+    for (phi, psi), spread_out in ((positive_factors(6, 5, 3, 8), False),
+                                   (spread, True)):
+        for form, similarity in input_forms(phi, psi).items():
+            rows, cols, solution = bicluster(similarity, k=3, seed=0)
+            _, d1, d2 = _normalized(similarity)
+            sing = solution.singular_values[None, :]
+            for labels, vectors, degrees in (
+                    (rows, solution.left_vectors, d1),
+                    (cols, solution.right_vectors, d2)):
+                scaled = kmeans(np.sqrt(degrees)[:, None] * vectors * sing,
+                                3, seed=0)
+                np.testing.assert_array_equal(labels, scaled, err_msg=form)
+                if spread_out:
+                    unscaled = kmeans(vectors * sing, 3, seed=0)
+                    assert nmi(unscaled, scaled) < 0.9, form
 
 
 @pytest.mark.parametrize("n, m, d, tied", [

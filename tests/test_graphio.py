@@ -7,7 +7,8 @@ import pytest
 
 from hencler import graphio
 from hencler.graphio import AttributedGraph, GraphFormatError, \
-    _walk_operators, edge_homophily, load_graph, random_walk_pe, symmetrize
+    _walk_operators, load_graph, random_walk_pe, symmetrize
+from reference import edge_homophily
 
 
 def write_dataset(tmp_path, edges, features, labels=None):

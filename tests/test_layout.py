@@ -1,0 +1,150 @@
+"""Every top-level name of src/hencler is run by a command or the benchmark.
+
+A static closure over the top-level names of src/hencler/*.py, leaving out
+`__init__.py` and `__all__`, starts from every top-level name of
+`hencler.cli`, every identifier in perfbench/*.py, and the names perfbench
+traces by string: `run.OPS`, the span tables of `run`, and `tracing.PRIVATE`
+and `tracing.ALIASES`. `tracing.NOT_OPS` only lists names to skip, so it is
+no root. A name the closure does not reach runs only in tests, and belongs
+in tests/reference.py.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hencler"
+PERFBENCH = ROOT / "perfbench"
+
+# perfbench tables that name hencler functions by string
+STRING_TABLES = {"run": ("OPS", "INCLUSIVE", "CALLS", "EVAL_BLOCK", "WRITERS"),
+                 "tracing": ("PRIVATE", "ALIASES")}
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def assigned_names(stmt):
+    """Names a top-level assignment binds."""
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+class Module:
+    """The top-level definitions, imports and other statements of one module."""
+
+    def __init__(self, tree):
+        self.defs = {}  # name -> the statements that bind it
+        self.imports = {}  # local name -> (module, name); name None: module
+        self.other = []  # statements that run at import and bind nothing
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                self.defs.setdefault(stmt.name, []).append(stmt)
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                for name in assigned_names(stmt):
+                    if name != "__all__":
+                        self.defs.setdefault(name, []).append(stmt)
+            elif isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
+                for alias in stmt.names:
+                    local = alias.asname or alias.name
+                    self.imports[local] = ((stmt.module, alias.name)
+                                           if stmt.module else
+                                           (alias.name, None))
+            elif not (isinstance(stmt, (ast.Import, ast.ImportFrom))
+                      or (isinstance(stmt, ast.Expr)
+                          and isinstance(stmt.value, ast.Constant))):
+                self.other.append(stmt)
+
+
+def package_modules():
+    return {path.stem: Module(parse(path))
+            for path in sorted(PACKAGE.glob("*.py"))
+            if path.name != "__init__.py"}
+
+
+def resolve(modules, module, name):
+    """(module, name) of the definition that `name` in `module` is, or None."""
+    while module in modules:
+        mod = modules[module]
+        if name in mod.defs:
+            return module, name
+        if name not in mod.imports:
+            return None
+        module, name = mod.imports[name]
+    return None
+
+
+def uses(modules, module, nodes):
+    """The definitions that the code of `nodes` in `module` refers to."""
+    mod = modules[module]
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield resolve(modules, module, sub.id)
+            elif (isinstance(sub, ast.Attribute)
+                  and isinstance(sub.value, ast.Name)
+                  and mod.imports.get(sub.value.id, (None, ""))[1] is None):
+                yield resolve(modules, mod.imports[sub.value.id][0], sub.attr)
+
+
+def traced_strings():
+    """(module, name) pairs perfbench names in its string tables."""
+    for stem, tables in STRING_TABLES.items():
+        for stmt in parse(PERFBENCH / f"{stem}.py").body:
+            if not isinstance(stmt, ast.Assign):
+                continue
+            for table in set(assigned_names(stmt)) & set(tables):
+                value = ast.literal_eval(stmt.value)
+                if table == "OPS":
+                    yield from (("gradients", op) for op in value)
+                elif table == "PRIVATE":
+                    yield from ((module, name) for module, names
+                                in value.items() for name in names)
+                elif table == "ALIASES":  # (module, attribute) keys
+                    yield from value
+                else:  # span names "module.function[.label]"
+                    spans = value.values() if isinstance(value, dict) \
+                        else value
+                    yield from (span.split(".")[:2] for span in spans)
+
+
+def roots(modules):
+    found = {("cli", name) for name in modules["cli"].defs}
+    for module in modules:
+        found.update(uses(modules, module, modules[module].other))
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            ident = (node.id if isinstance(node, ast.Name) else
+                     node.attr if isinstance(node, ast.Attribute) else
+                     node.asname or node.name if isinstance(node, ast.alias)
+                     else None)
+            found.update((module, ident) for module in modules
+                         if ident in modules[module].defs)
+    found.update(resolve(modules, module, name)
+                 for module, name in traced_strings())
+    found.discard(None)
+    return found
+
+
+def test_every_package_name_is_reached_from_a_command_or_perfbench():
+    modules = package_modules()
+    reached = set()
+    todo = list(roots(modules))
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        module, name = key
+        todo.extend(used for used in uses(modules, module,
+                                          modules[module].defs[name])
+                    if used is not None)
+    defined = {(module, name) for module, mod in modules.items()
+               for name in mod.defs}
+    unreached = sorted(f"{module}.{name}"
+                       for module, name in defined - reached)
+    assert not unreached, ("run only by tests, move to tests/reference.py: "
+                           + ", ".join(unreached))
