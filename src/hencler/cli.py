@@ -4,8 +4,7 @@ Exit codes: 0 success, 1 runtime/numeric failure, 2 config/parse error,
 3 guard violation. `train` seeds from the config's `seed`; `oracle` and
 `benchmark` seed from `--seed` (default 0) and never read the config's
 `seed`, so `oracle` on a model's own config clusters with seed 0 unless
-`--seed` is given. The HENCLER_SEED environment variable overrides the seed
-of all three.
+`--seed` is given. No command reads the environment.
 """
 
 from __future__ import annotations
@@ -86,14 +85,7 @@ def load_config(path) -> dict:
     return doc
 
 
-def _resolve_seed(seed: int) -> int:
-    env = os.environ.get("HENCLER_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"HENCLER_SEED must be an integer, got {env!r}") \
-                from exc
+def _check_seed(seed: int) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
@@ -243,7 +235,6 @@ def cmd_train(args) -> int:
     if config.eval_every > 0 and g.labels is None:
         raise ConfigError("metric tracking needs label_path (set eval_every "
                           "to 0 to train without labels)")
-    config = replace(config, seed=_resolve_seed(config.seed))
     out_dir.mkdir(parents=True, exist_ok=True)
 
     pe = _positional_encoding(g, config.k_pe, out_dir, store=True)
@@ -283,7 +274,7 @@ def cmd_train(args) -> int:
 def cmd_oracle(args) -> int:
     out_dir = _output_path(args.output_dir or "hencler_oracle",
                            directory=True)
-    seed = _resolve_seed(args.seed)
+    seed = _check_seed(args.seed)
     doc = load_config(args.config)
     g = _load_dataset(doc)
     config = _train_config(doc, g)
@@ -314,8 +305,8 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def run_benchmark(sizes, epochs: int = 30, seed: int = 0,
-                  measure_memory: bool = True) -> dict:
+def run_benchmark(sizes, *, epochs: int, seed: int,
+                  measure_memory: bool) -> dict:
     """Time fixed-epoch float64 training, the model `train` runs, at each
     size; optionally record peak memory.
 
@@ -365,7 +356,7 @@ def cmd_benchmark(args) -> int:
     sizes = _sizes(args.sizes)
     if args.epochs < 0:
         raise ConfigError(f"--epochs must be >= 0, got {args.epochs}")
-    seed = _resolve_seed(args.seed)
+    seed = _check_seed(args.seed)
     out_path = _output_path(args.output, directory=False)
     result = run_benchmark(sizes, epochs=args.epochs, seed=seed,
                            measure_memory=args.memory)

@@ -52,7 +52,7 @@ def _degree_weights(s) -> tuple[np.ndarray, np.ndarray]:
         row_mass, col_mass = s.sum(axis=1), s.sum(axis=0)
     if np.any(row_mass < EPS_DEG) or np.any(col_mass < EPS_DEG):
         warnings.warn("similarity has near-zero row/column mass; "
-                      f"clamping degrees at {EPS_DEG}", stacklevel=4)
+                      f"clamping degrees at {EPS_DEG}")
     return np.maximum(row_mass, EPS_DEG), np.maximum(col_mass, EPS_DEG)
 
 

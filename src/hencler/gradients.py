@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 LEAKY_SLOPE = 0.01
+BN_EPS = 1e-5
 
 __all__ = [
     "Var",
@@ -302,7 +303,7 @@ def log_sigmoid(a) -> Var:
                op="log_sigmoid")
 
 
-def batchnorm(x, gamma, beta, eps: float = 1e-5) -> Var:
+def batchnorm(x, gamma, beta) -> Var:
     """Training-mode batch normalization over axis 0 with learnable affine.
 
     Backward keeps `centered` and recomputes `centered * inv` for gamma,
@@ -315,7 +316,7 @@ def batchnorm(x, gamma, beta, eps: float = 1e-5) -> Var:
     centered = xv - mean
     out = centered * centered  # the squares, then the output in place
     var = np.mean(out, axis=0)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     np.multiply(centered, inv, out=out)
     out *= gv
     out += beta.value

@@ -123,16 +123,14 @@ def _build_node_rec(recon: ad.Var, features: np.ndarray) -> ad.Var:
 
 def _build_edge_rec(ps, src_emb, dst_emb, sample: EdgeSample) -> ad.Var:
     pairs = np.concatenate([sample.positives, sample.negatives], axis=0)
-    labels = np.concatenate([np.ones(len(sample.positives)),
-                             np.zeros(len(sample.negatives))])
+    signs = np.concatenate([np.ones(len(sample.positives)),
+                            -np.ones(len(sample.negatives))])
     logits = edge_logits(ps, src_emb, dst_emb, pairs[:, 0], pairs[:, 1])
-    # Exact log-space BCE: log(sigmoid(x)) is finite for all finite logits,
-    # so no probability clamp is needed and gradients stay alive on
-    # saturated pairs.
-    log_on = ad.log_sigmoid(logits)
-    log_off = ad.log_sigmoid(ad.scale(logits, -1.0))
-    matched = ad.mul(labels, log_on) + ad.mul(1.0 - labels, log_off)
-    return ad.scale(ad.reduce_sum(matched), -1.0 / labels.size)
+    # Exact log-space BCE, -mean log(sigmoid(y x)), y = +1 on edges and -1 on
+    # non-edges: log(sigmoid) is finite for all finite logits, so no
+    # probability clamp is needed and gradients stay alive on saturated pairs.
+    matched = ad.log_sigmoid(ad.mul(signs, logits))
+    return ad.scale(ad.reduce_sum(matched), -1.0 / signs.size)
 
 
 class LossParts(dict):

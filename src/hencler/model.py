@@ -34,8 +34,6 @@ __all__ = [
     "load_checkpoint",
 ]
 
-BN_EPS = 1e-5
-
 
 class CheckpointError(ValueError):
     """Checkpoint file that is malformed or inconsistent with its dims."""
@@ -137,8 +135,7 @@ def _mlp(ps, x: np.ndarray, prefix: str) -> ad.Var:
     # No bias before batchnorm: it always subtracts the batch mean, which
     # would cancel a per-column bias exactly; bn_beta is the layer's shift.
     normed = ad.batchnorm(ad.matmul(hidden, ps[f"{prefix}.w2"]),
-                          ps[f"{prefix}.bn_gamma"], ps[f"{prefix}.bn_beta"],
-                          eps=BN_EPS)
+                          ps[f"{prefix}.bn_gamma"], ps[f"{prefix}.bn_beta"])
     # Strictly positive map entries make every similarity degree genuinely
     # positive (the random-walk weighting is then well defined with no
     # clamping), which is what keeps the weighted-variance objective bounded.

@@ -171,18 +171,14 @@ def test_repeats_aggregate_mean_std(tmp_path, dataset):
     assert agg["best_nmi_std"] == pytest.approx(np.std(best), rel=1e-12)
 
 
-def test_env_seed_override(tmp_path, dataset, monkeypatch):
+def test_env_seed_is_ignored(tmp_path, dataset, monkeypatch):
     config = write_config(tmp_path, dataset)
-    main(["train", "--config", str(config)])
-    baseline = (tmp_path / "out" / "metrics.json").read_text()
-    monkeypatch.setenv("HENCLER_SEED", "123")
-    main(["train", "--config", str(config)])
-    overridden = (tmp_path / "out" / "metrics.json").read_text()
-    assert overridden != baseline
-    recorded = json.loads(overridden)["config"]
-    assert recorded["seed"] == recorded["seeds"][0] == 123
-    monkeypatch.setenv("HENCLER_SEED", "not-an-int")
-    assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    baseline = (tmp_path / "out" / "metrics.json").read_bytes()
+    for value in ("123", "not-an-int"):
+        monkeypatch.setenv("HENCLER_SEED", value)
+        assert main(["train", "--config", str(config)]) == EXIT_OK, value
+        assert (tmp_path / "out" / "metrics.json").read_bytes() == baseline
 
 
 def test_loss_and_tie_maps_config_keys(tmp_path, dataset):
@@ -370,7 +366,6 @@ def test_non_positive_sizes_exit_2(tmp_path, dataset, capsys, key, value):
      "missing.json"),
     (["export-similarity", "--config", "{config}",
       "--checkpoint", "missing.json"], "missing.json"),
-    (["HENCLER_SEED=-1", "train", "--config", "{config}"], "seed"),
     (["oracle", "--config", "{config}", "--checkpoint", "{checkpoint}",
       "--seed", "-1"], "seed"),
     (["benchmark", "--sizes", "50", "--epochs", "1", "--seed", "-1"], "seed"),
@@ -391,7 +386,7 @@ def test_non_positive_sizes_exit_2(tmp_path, dataset, capsys, key, value):
       "missing/x.csv"], "missing"),
 ], ids=["repeats-0", "repeats-neg", "sizes-abc", "sizes-9", "epochs-neg",
         "oracle-missing-checkpoint", "export-missing-checkpoint",
-        "env-seed-neg", "oracle-seed-neg", "benchmark-seed-neg",
+        "oracle-seed-neg", "benchmark-seed-neg",
         "train-output-file", "train-output-below-file", "oracle-output-file",
         "oracle-output-below-file", "export-output-below-file",
         "export-output-directory", "benchmark-output-below-file",
@@ -405,10 +400,6 @@ def test_bad_arguments_exit_2_and_write_nothing(tmp_path, dataset,
         assert main(["train", "--config", str(config)]) == EXIT_OK
     monkeypatch.chdir(tmp_path)  # default output paths land in tmp_path
     (tmp_path / "afile").touch()
-    while "=" in argv[0]:  # leading NAME=value words set the environment
-        name, value = argv[0].split("=", 1)
-        monkeypatch.setenv(name, value)
-        argv = argv[1:]
     before = sorted(tmp_path.rglob("*"))
     capsys.readouterr()
     assert main([arg.format(config=config, checkpoint=checkpoint)

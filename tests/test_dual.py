@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -231,3 +236,32 @@ def test_fenchel_young_edge_cases():
     lhs = 0.5 * w * np.sum(e * e / sigma) + 0.5 * np.sum(h_star ** 2 * sigma)
     rhs = np.sqrt(w) * e @ h_star
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
+
+
+NEAR_ZERO_MASS = """
+import numpy as np
+from hencler.dual import bicluster, eigen_form_check, stationarity_residual
+from hencler.model import SimilarityFactor
+rng = np.random.default_rng(0)
+source = rng.uniform(0.1, 1.1, size=(6, 3))
+source[0] = 1e-14
+sf = SimilarityFactor(source=source, target=rng.uniform(0.1, 1.1, size=(6, 3)))
+_, _, solution = bicluster(sf, k=2, seed=0)
+stationarity_residual(sf, solution)
+eigen_form_check(sf, solution)
+"""
+
+
+def test_degree_clamp_warns_once_per_process():
+    # A fresh interpreter, so that Python's default filter (each warning
+    # location once) decides, not pytest's capture.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", NEAR_ZERO_MASS],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count("UserWarning: similarity has near-zero") == 1, \
+        done.stderr

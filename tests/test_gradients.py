@@ -452,7 +452,7 @@ def test_batchnorm_in_place_matches_expression_form_bitwise():
             "gamma": np.sum(g * (centered * inv), axis=0),
             "beta": np.sum(g, axis=0)}
     ps = make_params(x=x, gamma=gamma, beta=beta)
-    out = ad.batchnorm(ps["x"], ps["gamma"], ps["beta"], eps=eps)
+    out = ad.batchnorm(ps["x"], ps["gamma"], ps["beta"])
     got = {"value": out.value}
     for name, (_, back) in zip(("x", "gamma", "beta"), out.parents):
         got[name] = back(g)

@@ -7,6 +7,9 @@ traces by string: `run.OPS`, the span tables of `run`, and `tracing.PRIVATE`
 and `tracing.ALIASES`. `tracing.NOT_OPS` only lists names to skip, so it is
 no root. A name the closure does not reach runs only in tests, and belongs
 in tests/reference.py.
+
+No module of src/hencler reads the environment: a command's inputs are its
+config and its command-line options, which its artifacts can name.
 """
 
 import ast
@@ -148,3 +151,32 @@ def test_every_package_name_is_reached_from_a_command_or_perfbench():
                        for module, name in defined - reached)
     assert not unreached, ("run only by tests, move to tests/reference.py: "
                            + ", ".join(unreached))
+
+
+# Names through which os hands out the environment.
+ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+# Modules allowed to read the environment, each with the reason. Empty: every
+# input of a command is its config or a command-line option. A future read,
+# such as recording the BLAS library and thread count next to a run's
+# artifacts, must be listed here.
+ENV_READERS: dict[str, str] = {}
+
+
+def env_reads(tree):
+    """(line, name) of every place `tree` reads os's environment."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENV_READS
+                and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            yield node.lineno, f"os.{node.attr}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            yield from ((node.lineno, f"from os import {alias.name}")
+                        for alias in node.names if alias.name in ENV_READS)
+
+
+def test_no_package_module_reads_the_environment():
+    found = [f"{path.name}:{line} {name}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem not in ENV_READERS
+             for line, name in env_reads(parse(path))]
+    assert not found, ("reads the environment, so a run depends on an input "
+                       "no artifact names: " + ", ".join(found))
