@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime/numeric failure, 2 config/parse error,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import os
@@ -45,6 +46,16 @@ BENCH_K_PE = 8
 # Negative sampling needs a non-edge among the n * (n - 1) ordered pairs,
 # certain only when they outnumber the n * BENCH_AVG_DEGREE sampled edges.
 BENCH_MIN_SIZE = int(BENCH_AVG_DEGREE) + 2
+
+# mallopt(3) settings as (<malloc.h> parameter number, value), made by the
+# commands that train. Training frees each epoch's tape before the next
+# forward; with trimming on, glibc would hand that heap back to the OS and the
+# forward would fault it in again. A trim threshold of -1 disables trimming
+# completely. Setting it also stops glibc from raising the mmap threshold as
+# large blocks are freed, so the threshold is pinned at that rule's 64-bit
+# ceiling, 32 MiB, and arrays glibc served from the heap stay there.
+M_TRIM_THRESHOLD = (-1, -1)
+M_MMAP_THRESHOLD = (-3, 32 * 1024 * 1024)
 
 _TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 _CONFIG_KEYS = _TRAIN_KEYS | {"edge_path", "feature_path", "label_path",
@@ -89,6 +100,21 @@ def _check_seed(seed: int) -> int:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     return seed
+
+
+def _keep_freed_heap() -> list[int] | None:
+    """Keep freed heap in this process for the rest of the command: apply
+    M_TRIM_THRESHOLD and M_MMAP_THRESHOLD through the C library's mallopt.
+    Returns mallopt's results (1 on success), or None where the C library
+    has no mallopt. Process-wide, so only commands call it."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return [mallopt(param, value)
+            for param, value in (M_TRIM_THRESHOLD, M_MMAP_THRESHOLD)]
 
 
 def _load_dataset(doc: dict) -> AttributedGraph:
@@ -223,6 +249,7 @@ def _write_embeddings(path, source, target) -> None:
 
 
 def cmd_train(args) -> int:
+    _keep_freed_heap()
     doc = load_config(args.config)
     out_dir = args.output_dir or doc.get("output_dir", "hencler_out")
     out_dir = _output_path(out_dir, directory=True)
@@ -313,8 +340,9 @@ def run_benchmark(sizes, *, epochs: int, seed: int,
     `seconds` times training alone and gives `r_squared`. The positional
     encoding is timed on its own as `pe_seconds`; `r_squared_end_to_end` fits
     the sum of both. Graph generation stays untimed. Memory peaks come from a
-    short 3-epoch run under tracemalloc (the training loop reaches steady
-    state immediately).
+    short 3-epoch run under tracemalloc. Its steady state is one tape, since
+    each epoch frees its tape before the next forward; 3 epochs, not 1, so
+    that a tape kept alive across epochs would show in the peak.
     """
     rows = []
     for n in sizes:
@@ -353,6 +381,7 @@ def _linear_r_squared(xs: np.ndarray, ys: np.ndarray) -> float:
 
 
 def cmd_benchmark(args) -> int:
+    _keep_freed_heap()
     sizes = _sizes(args.sizes)
     if args.epochs < 0:
         raise ConfigError(f"--epochs must be >= 0, got {args.epochs}")

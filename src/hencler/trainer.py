@@ -245,14 +245,11 @@ def train(g: AttributedGraph, config: TrainConfig,
             except ad.NonFiniteError as exc:
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}: {exc}") from exc
+            # Free this epoch's tape before the next forward builds its own,
+            # so only one tape is alive at a time.
+            parts = grads = None
             pending = (epoch if config.eval_every > 0
                        and (epoch + 1) % config.eval_every == 0 else None)
-        # Release the last epoch's tape. Inside the loop an epoch's tape is
-        # freed only when the next forward replaces `parts`, on purpose:
-        # freeing it at the end of the epoch body lowers the peak, but malloc
-        # then trims the top of the heap and the next forward faults those
-        # pages back in, which costs more training time than it saves memory.
-        parts = grads = None
         try:
             record.embeddings = _eval_embeddings(params.arrays, x_aug)
             if pending is not None:

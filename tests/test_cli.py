@@ -1,4 +1,5 @@
 import json
+import platform
 import shlex
 from pathlib import Path
 
@@ -267,6 +268,54 @@ def test_commands_enter_train_and_map_features_through_cli(tmp_path,
                  str(tmp_path / "out" / "checkpoint.json"),
                  "--output-dir", str(tmp_path / "oracle")]) == EXIT_OK
     assert calls == ["map_features"]
+
+
+def test_only_training_commands_keep_freed_heap(tmp_path, dataset,
+                                                monkeypatch):
+    """`train` and `benchmark` set the allocator once, before any work;
+    `oracle` and `export-similarity` build no tape and leave it alone."""
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append(1))
+    config = write_config(tmp_path, dataset)
+    checkpoint = str(tmp_path / "out" / "checkpoint.json")
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    assert calls == [1]
+    assert main(["oracle", "--config", str(config), "--checkpoint",
+                 checkpoint, "--output-dir", str(tmp_path / "oracle")]) \
+        == EXIT_OK
+    assert main(["export-similarity", "--config", str(config),
+                 "--checkpoint", checkpoint,
+                 "--output", str(tmp_path / "sim.csv")]) == EXIT_OK
+    assert calls == [1]
+    assert main(["benchmark", "--sizes", "20", "--epochs", "1",
+                 "--output", str(tmp_path / "bench.csv")]) == EXIT_OK
+    assert calls == [1, 1]
+
+
+def test_train_without_mallopt_writes_the_same_artifacts(tmp_path, dataset,
+                                                         monkeypatch):
+    """Where the C library has no mallopt, train runs as before."""
+    names = ("metrics.json", "assignment.csv", "embeddings.csv",
+             "checkpoint.json")
+    config = write_config(tmp_path, dataset)
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    want = {name: (tmp_path / "out" / name).read_bytes() for name in names}
+
+    class NoMallopt:
+        def __init__(self, name):
+            pass
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", NoMallopt)
+    assert cli._keep_freed_heap() is None
+    out = tmp_path / "again"
+    assert main(["train", "--config", str(config),
+                 "--output-dir", str(out)]) == EXIT_OK
+    assert {name: (out / name).read_bytes() for name in names} == want
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="needs glibc")
+def test_keep_freed_heap_sets_both_mallopt_parameters():
+    assert cli._keep_freed_heap() == [1, 1]
 
 
 def test_export_similarity_guard_exit_3(tmp_path, dataset):

@@ -9,7 +9,9 @@ no root. A name the closure does not reach runs only in tests, and belongs
 in tests/reference.py.
 
 No module of src/hencler reads the environment: a command's inputs are its
-config and its command-line options, which its artifacts can name.
+config and its command-line options, which its artifacts can name. Only the
+modules in `CTYPES_IMPORTERS` import ctypes, so process-wide settings such as
+the allocator's have one home.
 """
 
 import ast
@@ -180,3 +182,32 @@ def test_no_package_module_reads_the_environment():
              for line, name in env_reads(parse(path))]
     assert not found, ("reads the environment, so a run depends on an input "
                        "no artifact names: " + ", ".join(found))
+
+
+# Modules allowed to import ctypes, each with the reason. Through ctypes a
+# module can change the whole process, such as the allocator's settings, so
+# such settings have one home, made by the commands that need them.
+CTYPES_IMPORTERS = {"cli": "the training commands keep freed heap in the "
+                           "process through mallopt"}
+
+
+def ctypes_imports(tree):
+    """Lines at which `tree` imports ctypes or one of its submodules."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "ctypes" for name in names):
+            yield node.lineno
+
+
+def test_only_listed_modules_import_ctypes():
+    found = [f"{path.name}:{line}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.stem not in CTYPES_IMPORTERS
+             for line in ctypes_imports(parse(path))]
+    assert not found, ("imports ctypes, which can change process-wide state "
+                       "outside the listed modules: " + ", ".join(found))

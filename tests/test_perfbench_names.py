@@ -6,9 +6,11 @@ back into per-layer metrics, so a renamed function would silently read as
 zero. These checks turn such a rename into a failure. `perfbench/run.py`
 imports `hencler.synthetic` and prints its JSON result as its last line,
 so an import that writes output or leaves a thread running could break
-that line.
+that line. Importing hencler also leaves process-wide state such as the
+allocator's settings alone.
 """
 
+import ctypes
 import importlib
 import importlib.util
 import inspect
@@ -95,7 +97,14 @@ def test_import_starts_no_thread(monkeypatch):
     for name in [name for name in sys.modules
                  if name == "hencler" or name.startswith("hencler.")]:
         monkeypatch.delitem(sys.modules, name)
+    # nor opens a C library: the allocator settings of `cli` are made only
+    # by the commands that train, never by an import
+    opened = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs:
+                        opened.append(args))
     before = threading.active_count()
+    importlib.import_module("hencler")
     importlib.import_module("hencler.cli")
     importlib.import_module("hencler.synthetic")
     assert threading.active_count() == before
+    assert opened == []
