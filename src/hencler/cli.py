@@ -40,7 +40,9 @@ EXIT_CONFIG = 2
 EXIT_GUARD = 3
 
 DENSE_GUARD_NODES = 5000  # materializing S above this needs an explicit override
-PE_FORMAT = b"hencler-pe-exact-1"  # change when random_walk_pe's values change
+# Change when random_walk_pe's values change, in the last bit too: a new
+# graphio.PE_BLOCK_SIZE is such a change.
+PE_FORMAT = b"hencler-pe-exact-1"
 BENCH_AVG_DEGREE = 8.0  # of the benchmark's random sparse graphs
 BENCH_K_PE = 8
 # Negative sampling needs a non-edge among the n * (n - 1) ordered pairs,

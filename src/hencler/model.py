@@ -216,15 +216,17 @@ def similarity_matrix(sf: SimilarityFactor) -> np.ndarray:
 
 
 def save_checkpoint(params: HenclerParams, path) -> None:
-    doc = {
-        "version": 3,
-        "dims": asdict(params.dims),
-        "params": {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            for name, arr in params.arrays.items()
-        },
-    }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    """Write the bytes of `json.dumps` of {"version": 3, "dims": ...,
+    "params": {name: {"shape": ..., "data": ...}}}, one parameter at a time,
+    so only one parameter's list and text are in memory at once."""
+    head = json.dumps({"version": 3, "dims": asdict(params.dims)})
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(head[:-1] + ', "params": {')
+        for i, (name, arr) in enumerate(params.arrays.items()):
+            entry = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+            handle.write(f"{', ' if i else ''}{json.dumps(name)}: "
+                         f"{json.dumps(entry)}")
+        handle.write("}}")
 
 
 def load_checkpoint(path) -> HenclerParams:

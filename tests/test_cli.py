@@ -458,6 +458,23 @@ def test_bad_arguments_exit_2_and_write_nothing(tmp_path, dataset,
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_unreadable_input_file_messages(tmp_path, dataset, capsys):
+    """A missing feature file is an input error, and one that is not UTF-8
+    a runtime error, each worded by the exception the open file raised."""
+    _, _, feat_path, _ = dataset
+    config = write_config(tmp_path, dataset)
+    feat_path.write_bytes(b"0.5\n\xff1.0\n")
+    assert main(["train", "--config", str(config)]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 4: "
+        "invalid start byte\n")
+    feat_path.unlink()
+    assert main(["train", "--config", str(config)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "input error: cannot read dataset: [Errno 2] No such file or "
+        f"directory: '{feat_path}'\n")
+
+
 def test_unwritable_output_directory_exits_2(tmp_path, dataset, monkeypatch,
                                             capsys):
     # a test run as root may write anywhere, so the permission answer is faked

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from hencler import graphio
 from hencler.graphio import AttributedGraph, GraphFormatError, \
     _walk_operators, load_graph, random_walk_pe, symmetrize
+from hencler.synthetic import heterophilous_blobs, write_graph_tsv
 from reference import edge_homophily
 
 
@@ -79,6 +81,17 @@ def test_label_count_mismatch(tmp_path):
     edge_path, feat_path, label_path = write_dataset(
         tmp_path, [(0, 1)], [[0.0], [1.0]], labels=[0])
     with pytest.raises(GraphFormatError, match="1 labels for 2 nodes"):
+        load_graph(edge_path, feat_path, label_path)
+
+
+def test_label_line_holds_one_class(tmp_path):
+    """Two tab-separated labels on one line are malformed, even when their
+    count matches the node count."""
+    edge_path, feat_path, label_path = write_dataset(
+        tmp_path, [(0, 1)], [[0.0], [1.0]], labels=[0, 1])
+    label_path.write_text("0\t1\n")
+    with pytest.raises(GraphFormatError,
+                       match=r"labels\.tsv:1: malformed class index"):
         load_graph(edge_path, feat_path, label_path)
 
 
@@ -223,6 +236,8 @@ def test_pe_self_loop_contributes_to_diagonal():
 
 
 def test_pe_block_size_independence(rng, monkeypatch):
+    """The values agree across block widths to 1e-14, not bit for bit: the
+    last bits follow the width."""
     n = 30
     edges = rng.integers(0, n, size=(90, 2))
     edges = np.unique(edges[edges[:, 0] != edges[:, 1]], axis=0)
@@ -353,3 +368,107 @@ def test_pe_return_probability_one_is_not_rounded_above_one():
             assert (right is left) == symmetric
             pe = random_walk_pe(g, 4)
             assert pe.max() <= 1.0, (pairs[-1], symmetric, pe.max())
+
+
+NOISE = ["#", " ", "\t", "\r", "\n", "\x0c", ".", "e", "+", "-", "nan", "inf",
+         "١"]
+
+
+def fuzz_value(rng, integer):
+    """A decimal that both readers take, or now and then one that a noise
+    token from NOISE, inserted at a random place, may break."""
+    if integer:
+        text = str(rng.integers(0, 21))
+    else:
+        text = f"{rng.integers(0, 1000)}.{rng.integers(0, 10**6)}"
+        if rng.random() < 0.3:
+            text += f"e{rng.choice(['', '+', '-'])}{rng.integers(0, 320)}"
+    if rng.random() < 0.2:
+        text = rng.choice(["+", "-", "0", " ", "\x0c"]) + text
+    if rng.random() < 0.05:
+        at = rng.integers(0, len(text) + 1)
+        text = text[:at] + rng.choice(NOISE) + text[at:]
+    return text
+
+
+def fuzz_file(rng):
+    """Rows of tab-separated values in CRLF, LF or CR lines, with now and
+    then a blank, whitespace-only or '#' line, or a short row; and its
+    number of lines."""
+    kind = rng.integers(0, 3)  # a feature, an edge or a label file
+    integer = kind > 0
+    width = int(rng.integers(1, 4)) if kind == 0 else 3 - kind
+    lines = []
+    for _ in range(rng.integers(0, 7)):
+        if rng.random() < 0.06:
+            lines.append(str(rng.choice(["", " ", "\x0c", " \t ", "# c",
+                                         "  # c"])))
+        cols = width - (rng.random() < 0.04)
+        lines.append("\t".join(fuzz_value(rng, integer) for _ in range(cols)))
+    newline = str(rng.choice(["\n", "\n", "\r\n", "\r"]))
+    text = newline.join(lines) + (newline if rng.random() < 0.8 else "")
+    return text, len(lines)
+
+
+def parse_outcome(parse, path, *args):
+    try:
+        array = parse(path, *args)
+    except GraphFormatError as exc:
+        return "error", str(exc)
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+def test_one_pass_reader_matches_line_loop(tmp_path, monkeypatch):
+    """Each parser's numpy fast path gives the line loop's arrays, bit for
+    bit, or the loop's error text, and shows no warning, on a few hundred
+    seeded small files; enough of them load through the fast path for the
+    check to mean something."""
+    rng = np.random.default_rng(31)
+    taken = [0, 0, 0]
+    for i in range(400):
+        path = tmp_path / f"fuzz-{i}.tsv"
+        text, num_lines = fuzz_file(rng)
+        path.write_bytes(text.encode())
+        cases = [(graphio._parse_features, (), np.float64),
+                 (graphio._parse_edges, (20,), np.int64),
+                 (graphio._parse_labels, (max(num_lines, 1),), np.int64)]
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            fast = [parse_outcome(parse, path, *args)
+                    for parse, args, _ in cases]
+        assert not shown, [str(w.message) for w in shown]
+        with monkeypatch.context() as patch:
+            patch.setattr(graphio, "_read_table", lambda path, dtype: None)
+            loop = [parse_outcome(parse, path, *args)
+                    for parse, args, _ in cases]
+        assert fast == loop, text
+        for j, (_, _, dtype) in enumerate(cases):
+            taken[j] += (fast[j][0] != "error"
+                         and graphio._read_table(path, dtype) is not None)
+    assert min(taken) >= 30, taken
+
+
+def test_generated_files_take_the_fast_path(tmp_path, monkeypatch):
+    """Files from `write_graph_tsv`, which the benchmark loads, never reach
+    the line loop; a '#' header sends its file through the loop, to the same
+    graph."""
+    g = heterophilous_blobs(num_nodes=40, num_classes=3, avg_degree=4,
+                            feature_dim=5, seed=0)
+    paths = [tmp_path / f"{name}.tsv" for name in ("e", "f", "l")]
+    write_graph_tsv(g, *paths)
+
+    def no_loop(path):
+        raise AssertionError(f"line loop reached for {path}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graphio, "_data_lines", no_loop)
+        for directed in (True, False):
+            loaded = load_graph(*paths, directed=directed)
+            want = g if directed else symmetrize(g)
+            for field in ("edges", "features", "labels"):
+                np.testing.assert_array_equal(getattr(loaded, field),
+                                              getattr(want, field))
+        paths[0].write_text("# src\tdst\n" + paths[0].read_text())
+        with pytest.raises(AssertionError, match="line loop reached"):
+            load_graph(*paths)
+    np.testing.assert_array_equal(load_graph(*paths).edges, g.edges)

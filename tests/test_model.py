@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -332,6 +333,35 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded.tied == params.tied
     for name, arr in params.arrays.items():
         np.testing.assert_array_equal(loaded.arrays[name], arr)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_checkpoint_is_one_json_document_written_in_parts(tmp_path, tied):
+    """The file holds the bytes of `json.dumps` of the whole document, yet
+    the writer's traced peak stays under 180 bytes per value of the largest
+    array. Measured on these (the CLI's default) dims: 139 when written one
+    parameter at a time; 225 tied and 295 untied when the document was
+    built and dumped whole."""
+    params = init_params(ModelDims(d_x=16, k_pe=16, hidden=256, d_f=128, s=4),
+                         seed=3, tied=tied)
+    path = tmp_path / "checkpoint.json"
+    tracemalloc.start()
+    try:
+        save_checkpoint(params, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc = {
+        "version": 3,
+        "dims": dataclasses.asdict(params.dims),
+        "params": {
+            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+            for name, arr in params.arrays.items()
+        },
+    }
+    assert path.read_bytes() == json.dumps(doc).encode()
+    largest = max(arr.size for arr in params.arrays.values())
+    assert peak < 180 * largest, peak / largest
 
 
 def test_checkpoint_rejects_unknown_version(tmp_path):
