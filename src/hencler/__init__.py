@@ -12,8 +12,8 @@ from .model import CheckpointError, HenclerParams, ModelDims, \
     SimilarityFactor, init_params, load_checkpoint, map_features, \
     save_checkpoint, similarity_matrix
 from .loss import EdgeSample, sample_edges
-from .dual import DualSolution, bicluster, eigen_form_check, \
-    stationarity_residual
+from .dual import DualSolution, bicluster, dual_projections, \
+    eigen_form_check, oracle_report, stationarity_residual
 from .evaluate import assign_clusters, nmi, pairwise_f1
 from .trainer import AdamState, RunRecord, TrainConfig, TrainingDiverged, \
     optimizer_step, train

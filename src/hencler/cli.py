@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dual import bicluster, eigen_form_check, stationarity_residual
-from .evaluate import assign_clusters, nmi
+from .dual import oracle_report
+from .evaluate import assign_clusters
 from .graphio import AttributedGraph, GraphFormatError, load_graph, \
     random_walk_pe
 from .model import CheckpointError, load_checkpoint, map_features, \
@@ -202,8 +202,8 @@ def _positional_encoding(g: AttributedGraph, k_pe: int, directory: Path,
     `k_pe` is there, else computed and, with `store`, written there.
 
     A file that is there but fails validation is an input error, never
-    silently recomputed. The write goes to a temporary name first, so a
-    crashed write never leaves a file under the final name.
+    silently recomputed. The write goes to a temporary name, removed if the
+    write fails, so a crashed write never leaves a file under the final name.
     """
     path = _pe_path(directory, g, k_pe)
     if path.is_file():
@@ -211,9 +211,12 @@ def _positional_encoding(g: AttributedGraph, k_pe: int, directory: Path,
     pe = random_walk_pe(g, k_pe)
     if store:
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        with open(tmp, "wb") as handle:
-            np.save(handle, pe, allow_pickle=False)
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as handle:
+                np.save(handle, pe, allow_pickle=False)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)  # gone after a successful replace
     return pe
 
 
@@ -313,17 +316,11 @@ def cmd_oracle(args) -> int:
             f"num_clusters {config.num_clusters} exceeds the model's d_f "
             f"{params.dims.d_f}: the learned similarity has rank at most d_f")
     pe = _positional_encoding(g, config.k_pe, Path(args.checkpoint).parent)
-    sf = map_features(g, pe, params)
-    rows, cols, solution = bicluster(sf, k=config.num_clusters, seed=seed)
-    residuals = {
-        "stationarity": stationarity_residual(sf, solution),
-        "eigen_form": eigen_form_check(sf, solution),
-    }
-    report = {"residuals": residuals}
-    if g.labels is not None:
-        report["row_nmi"] = nmi(rows, g.labels)
-        report["col_nmi"] = nmi(cols, g.labels)
+    report, rows, cols = oracle_report(map_features(g, pe, params),
+                                       config.num_clusters, seed, g.labels)
+    if "row_nmi" in report:
         print(f"row NMI {report['row_nmi']:.4f}  col NMI {report['col_nmi']:.4f}")
+    residuals = report["residuals"]
     print(f"stationarity residual {residuals['stationarity']:.3e}  "
           f"eigen-form residual {residuals['eigen_form']:.3e}")
     out_dir.mkdir(parents=True, exist_ok=True)

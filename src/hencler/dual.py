@@ -6,8 +6,10 @@ S = Phi Psi^T) or as a dense matrix. The factored form is exact and costs
 O(n d_f^2): S has rank at most d_f, so a QR of each degree-scaled factor
 reduces the SVD to a d_f x d_f core and no n x n array is formed. The dense
 form serves inputs that only exist as matrices and is the tests' reference.
-Also here: the stationarity residual, weighted like the eigen-form check by
-the inverse degrees of S.
+`bicluster` computes the degrees of S once; its `DualSolution` carries them
+to the eigen-form check and the stationarity residual of given U and V.
+`oracle_report` builds `oracle.json` in one pass, at the dual's own U and V,
+where the stationarity residual is the eigen-form system reassociated.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .evaluate import nmi
 from .linalg import kmeans, thin_svd
 from .loss import EPS_DEG
 from .model import SimilarityFactor
@@ -24,20 +27,21 @@ from .model import SimilarityFactor
 __all__ = [
     "DualSolution",
     "bicluster",
+    "dual_projections",
     "stationarity_residual",
     "eigen_form_check",
+    "oracle_report",
 ]
-
-_TINY = np.finfo(np.float64).eps
-
 
 @dataclass(frozen=True)
 class DualSolution:
-    """Top singular triples of the degree-normalized D1^-1/2 S D2^-1/2."""
+    """Top singular triples of D1^-1/2 S D2^-1/2, and the degrees d1, d2."""
 
     left_vectors: np.ndarray  # (n, s), orthonormal columns
     right_vectors: np.ndarray  # (m, s), orthonormal columns
     singular_values: np.ndarray  # (s,), descending
+    row_degrees: np.ndarray  # (n,), d1 clamped at EPS_DEG
+    col_degrees: np.ndarray  # (m,), d2 clamped at EPS_DEG
 
 
 def _degree_weights(s) -> tuple[np.ndarray, np.ndarray]:
@@ -102,59 +106,56 @@ def bicluster(similarity, k: int, seed: int = 0
     # e_i = sigma * h_i / sqrt(w1_i) with w1 = 1/d1, so the factor is sqrt(d1_i)
     src_emb = np.sqrt(d1)[:, None] * left * sing[None, :]
     dst_emb = np.sqrt(d2)[:, None] * right * sing[None, :]
-    row_clusters = kmeans(src_emb, k, seed=seed)
-    col_clusters = kmeans(dst_emb, k, seed=seed)
-    solution = DualSolution(left_vectors=left, right_vectors=right,
-                            singular_values=sing)
-    return row_clusters, col_clusters, solution
+    rows = kmeans(src_emb, k, seed=seed)
+    cols = kmeans(dst_emb, k, seed=seed)
+    return rows, cols, DualSolution(left, right, sing, d1, d2)
 
 
-def _relative(residual: np.ndarray, reference: np.ndarray) -> float:
-    return float(np.linalg.norm(residual)
-                 / max(np.linalg.norm(reference), _TINY))
+def _residual(lhs: np.ndarray, rhs: np.ndarray) -> float:
+    """||lhs - rhs|| / ||lhs||, the relative residual of one block row."""
+    return float(np.linalg.norm(lhs - rhs)
+                 / max(np.linalg.norm(lhs), np.finfo(np.float64).eps))
 
 
-def stationarity_residual(sf: SimilarityFactor, solution: DualSolution
-                          ) -> float:
-    """Max relative residual of the four stationarity conditions.
+def dual_projections(sf: SimilarityFactor, solution: DualSolution
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """U = Psi^T sqrt(w2) h_r and V = Phi^T sqrt(w1) h_e, of shape (d_f, s)."""
+    w1, w2 = 1.0 / solution.row_degrees, 1.0 / solution.col_degrees
+    return (sf.target.T @ (np.sqrt(w2)[:, None] * solution.right_vectors),
+            sf.source.T @ (np.sqrt(w1)[:, None] * solution.left_vectors))
 
-    The two conditions defining the projection matrices are used to
-    reconstruct them from the dual vectors (and therefore hold exactly);
-    the residuals of the two remaining coupling equations are returned.
-    Those are the two block rows of the system `eigen_form_check` measures,
-    with the products associated differently, so the two agree up to
-    rounding for any solution: this is not an independent check.
-    The factors are float64; the weights are w1 = 1/d1 and w2 = 1/d2, the
-    inverse degrees of S = Phi Psi^T.
+
+def stationarity_residual(sf: SimilarityFactor, solution: DualSolution,
+                          proj_u: np.ndarray, proj_v: np.ndarray) -> float:
+    """Max relative residual of the coupling stationarity conditions
+    h_e Sigma = sqrt(w1) Phi U and h_r Sigma = sqrt(w2) Psi V at the given
+    (d_f, s) U and V; the factors are float64, and w1 = 1/d1, w2 = 1/d2.
+
+    At `dual_projections` the two defining conditions hold exactly, and
+    these two are the system `eigen_form_check` measures, associated
+    differently: there they agree up to rounding, no independent check.
     """
     phi, psi = sf.source, sf.target
-    d1, d2 = _degree_weights(sf)
-    w1, w2 = 1.0 / d1, 1.0 / d2
+    w1, w2 = 1.0 / solution.row_degrees, 1.0 / solution.col_degrees
     h_e, h_r = solution.left_vectors, solution.right_vectors
     sing = solution.singular_values
     if phi.shape[0] != h_e.shape[0] or psi.shape[0] != h_r.shape[0]:
         raise ValueError("factor/solution shape mismatch")
-
-    proj_u = psi.T @ (np.sqrt(w2)[:, None] * h_r)
-    proj_v = phi.T @ (np.sqrt(w1)[:, None] * h_e)
-    lhs_e = h_e * sing[None, :]
     rhs_e = (np.sqrt(w1)[:, None] * phi) @ proj_u
-    lhs_r = h_r * sing[None, :]
     rhs_r = (np.sqrt(w2)[:, None] * psi) @ proj_v
-    res_e = _relative(lhs_e - rhs_e, lhs_e)
-    res_r = _relative(lhs_r - rhs_r, lhs_r)
-    return max(res_e, res_r)
+    return max(_residual(h_e * sing[None, :], rhs_e),
+               _residual(h_r * sing[None, :], rhs_r))
 
 
 def eigen_form_check(similarity, solution: DualSolution) -> float:
     """Relative residual of the block eigenvalue system of the SVD weighted
-    by w1 = 1/d1 and w2 = 1/d2, the inverse degrees of S.
+    by w1 = 1/d1 and w2 = 1/d2, the inverse degrees of S `solution` carries.
 
     `similarity` is a `SimilarityFactor` of float64 factors or a dense
     float64 matrix; a factored one is applied as
     sqrt(w1) Phi (Psi^T (sqrt(w2) h)) without forming S.
     """
-    d1, d2 = _degree_weights(similarity)
+    d1, d2 = solution.row_degrees, solution.col_degrees
     weighted = _scaled(similarity, np.sqrt(1.0 / d1), np.sqrt(1.0 / d2))
     h_e, h_r = solution.left_vectors, solution.right_vectors
     sing = solution.singular_values
@@ -163,6 +164,20 @@ def eigen_form_check(similarity, solution: DualSolution) -> float:
         s_h_r, s_t_h_e = a @ (b.T @ h_r), b @ (a.T @ h_e)
     else:
         s_h_r, s_t_h_e = weighted @ h_r, weighted.T @ h_e
-    top = _relative(s_h_r - h_e * sing[None, :], h_e * sing[None, :])
-    bottom = _relative(s_t_h_e - h_r * sing[None, :], h_r * sing[None, :])
-    return max(top, bottom)
+    return max(_residual(h_e * sing[None, :], s_h_r),
+               _residual(h_r * sing[None, :], s_t_h_e))
+
+
+def oracle_report(sf: SimilarityFactor, k: int, seed: int, labels
+                  ) -> tuple[dict, np.ndarray, np.ndarray]:
+    """`oracle.json`'s dict and the row and column clusters, from one
+    `bicluster` of the factors: both residuals, at the dual's own U and V,
+    and with `labels` (None when there are none) the clusters' NMIs."""
+    rows, cols, solution = bicluster(sf, k=k, seed=seed)
+    proj_u, proj_v = dual_projections(sf, solution)
+    report = {"residuals": {
+        "stationarity": stationarity_residual(sf, solution, proj_u, proj_v),
+        "eigen_form": eigen_form_check(sf, solution)}}
+    if labels is not None:
+        report.update(row_nmi=nmi(rows, labels), col_nmi=nmi(cols, labels))
+    return report, rows, cols

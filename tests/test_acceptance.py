@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from hencler.cli import run_benchmark
-from hencler.dual import bicluster, eigen_form_check, stationarity_residual
+from hencler.dual import bicluster, dual_projections, eigen_form_check, \
+    stationarity_residual
 from hencler.evaluate import nmi, pairwise_f1
 from hencler.graphio import load_graph, random_walk_pe
 from hencler.linalg import kmeans
@@ -90,7 +91,8 @@ def test_criterion_2_primal_dual_consistency():
     psi = rng.uniform(0.1, 1.1, size=(15, 8))
     sim = phi @ psi.T
     _, _, solution = bicluster(sim, k=8, seed=0)
-    stat = stationarity_residual(SimilarityFactor(phi, psi), solution)
+    sf = SimilarityFactor(phi, psi)
+    stat = stationarity_residual(sf, solution, *dual_projections(sf, solution))
     eig = eigen_form_check(sim, solution)
     report(2, stat < 1e-8 and eig < 1e-8,
            f"stationarity residual {stat:.3e}, eigen-form residual {eig:.3e} "

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hencler import cli, model
+from hencler import cli, dual, model
 from hencler.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, main, run_benchmark
 from hencler.graphio import AttributedGraph, load_graph, random_walk_pe
 from hencler.synthetic import heterophilous_blobs, write_graph_tsv
@@ -268,6 +268,39 @@ def test_commands_enter_train_and_map_features_through_cli(tmp_path,
                  str(tmp_path / "out" / "checkpoint.json"),
                  "--output-dir", str(tmp_path / "oracle")]) == EXIT_OK
     assert calls == ["map_features"]
+
+
+@pytest.mark.parametrize("labeled", [True, False],
+                         ids=["labeled", "unlabeled"])
+def test_oracle_writes_the_report_of_one_pass(tmp_path, dataset, monkeypatch,
+                                              labeled):
+    """`oracle` computes the degrees of S once, and `oracle.json` holds the
+    dict `oracle_report` returns, as it comes."""
+    extra = {} if labeled else {"label_path": None, "directed": True,
+                                "eval_every": 0}
+    config = write_config(tmp_path, dataset, **extra)
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    degree_calls, reports = [], []
+
+    def counted(s):
+        degree_calls.append(1)
+        return degree_weights(s)
+
+    def recorded(*args):
+        reports.append(oracle_report(*args))
+        return reports[-1]
+
+    degree_weights, oracle_report = dual._degree_weights, cli.oracle_report
+    monkeypatch.setattr(dual, "_degree_weights", counted)
+    monkeypatch.setattr(cli, "oracle_report", recorded)
+    assert main(["oracle", "--config", str(config), "--checkpoint",
+                 str(tmp_path / "out" / "checkpoint.json"),
+                 "--output-dir", str(tmp_path / "oracle")]) == EXIT_OK
+    assert len(degree_calls) == 1
+    [(report, _, _)] = reports
+    written = (tmp_path / "oracle" / "oracle.json").read_text()
+    assert report == json.loads(written)
+    assert ("row_nmi" in report) == labeled
 
 
 def test_only_training_commands_keep_freed_heap(tmp_path, dataset,
@@ -732,6 +765,23 @@ def test_pe_key_changes_with_edges_and_k_pe(tmp_path, dataset, monkeypatch):
     assert main(["train", "--config", str(config)]) == EXIT_OK
     assert len(pe_files(tmp_path / "out")) == 3
     assert calls == [3, 4, 4]
+
+
+def test_failed_pe_write_leaves_no_temporary_file(tmp_path, dataset,
+                                                  monkeypatch, capsys):
+    """A PE write that fails part-way exits 1 and removes its temporary
+    file, so no `*.tmp` and no PE file is left in the output directory."""
+    def failing_save(handle, *args, **kwargs):
+        handle.write(b"\x93NUMPY partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "save", failing_save)
+    config = write_config(tmp_path, dataset)
+    assert main(["train", "--config", str(config)]) == 1
+    assert "disk full" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
+    assert pe_files(out) == []
 
 
 def test_oracle_and_export_read_the_pe_beside_the_checkpoint(
