@@ -2,10 +2,12 @@
 
 The degree-normalized SVD biclustering and the block-eigenvalue residual
 accept the learned similarity either as its factors (a `SimilarityFactor`,
-S = Phi Psi^T) or as a dense matrix. The factored form is exact and costs
-O(n d_f^2): S has rank at most d_f, so a QR of each degree-scaled factor
-reduces the SVD to a d_f x d_f core and no n x n array is formed. The dense
-form serves inputs that only exist as matrices and is the tests' reference.
+S = Phi Psi^T) or as a dense matrix. The factored form is exact: S has rank
+at most d_f, so a QR of each degree-scaled factor reduces the SVD to a
+d_f x d_f core. Each Q is applied as its Householder reflectors, never
+formed, so the two `geqrf` calls cost O(n d_f^2), mapping the k core vectors
+back O(n d_f k), and no n x n array is formed. The dense form serves inputs
+that only exist as matrices and is the tests' reference.
 `bicluster` computes the degrees of S once; its `DualSolution` carries them
 to the eigen-form check and the stationarity residual of given U and V.
 `oracle_report` builds `oracle.json` in one pass, at the dual's own U and V,
@@ -37,8 +39,8 @@ __all__ = [
 class DualSolution:
     """Top singular triples of D1^-1/2 S D2^-1/2, and the degrees d1, d2."""
 
-    left_vectors: np.ndarray  # (n, s), orthonormal columns
-    right_vectors: np.ndarray  # (m, s), orthonormal columns
+    left_vectors: np.ndarray  # (n, s), orthonormal; Qa applied, never formed
+    right_vectors: np.ndarray  # (m, s), orthonormal; Qb applied, never formed
     singular_values: np.ndarray  # (s,), descending
     row_degrees: np.ndarray  # (n,), d1 clamped at EPS_DEG
     col_degrees: np.ndarray  # (m,), d2 clamped at EPS_DEG
@@ -68,19 +70,35 @@ def _scaled(s, row_scale: np.ndarray, col_scale: np.ndarray):
     return row_scale[:, None] * s * col_scale[None, :]
 
 
+def _apply_q(h: np.ndarray, tau: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Q @ core for the Q of `np.linalg.qr(a, mode="raw")`'s (h, tau),
+    without forming Q: the reflectors H_{p-1}, ..., H_0 applied in turn to
+    `core` padded with zeros to n rows, in O(n p k) for k columns."""
+    work = np.zeros((core.shape[1], h.shape[1]))  # (k, n): rows contiguous
+    work[:, :core.shape[0]] = core.T
+    for j in reversed(range(tau.shape[0])):
+        v = h[j, j:].copy()  # H_j = I - tau_j v v^T, v = (1, h[j, j+1:])
+        v[0] = 1.0
+        work[:, j:] -= (tau[j] * (work[:, j:] @ v))[:, None] * v
+    return work.T
+
+
 def _top_svd(s, rank: int):
     """Top-`rank` singular triple of S; a factored S goes through its core.
 
     With A = Qa Ra and B = Qb Rb, A B^T = Qa (Ra Rb^T) Qb^T, so the SVD of
     the small core Ra Rb^T gives the exact singular values, and its vectors
-    mapped through Qa and Qb the exact singular vectors.
+    mapped through Qa and Qb the exact singular vectors. Qa and Qb are
+    applied as their Householder reflectors and never formed: the two
+    `geqrf` factorizations cost O(n d_f^2), the application O(n d_f rank).
     """
     if not isinstance(s, SimilarityFactor):
         return thin_svd(s, rank)
-    q_src, r_src = np.linalg.qr(s.source)
-    q_dst, r_dst = np.linalg.qr(s.target)
+    src, dst = (np.linalg.qr(f, mode="raw") for f in (s.source, s.target))
+    # each R: the upper triangle of the first min(n, d_f) rows of h^T
+    r_src, r_dst = (np.triu(h.T[:min(h.shape)]) for h, _ in (src, dst))
     left, sing, right = thin_svd(r_src @ r_dst.T, rank)
-    return q_src @ left, sing, q_dst @ right
+    return _apply_q(*src, left), sing, _apply_q(*dst, right)
 
 
 def _normalized(s):

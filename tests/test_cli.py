@@ -207,6 +207,39 @@ def test_oracle_on_trained_checkpoint(tmp_path, dataset, capsys):
     assert "stationarity residual" in capsys.readouterr().out
 
 
+def test_oracle_clusters_match_the_dense_dual(tmp_path, dataset, monkeypatch):
+    """The factored dual of a trained checkpoint writes the clusters of the
+    dense one on S = Phi Psi^T, and its singular values agree to 1e-12."""
+    config = write_config(tmp_path, dataset)
+    assert main(["train", "--config", str(config)]) == EXIT_OK
+    factors, solutions = [], []
+
+    def mapped(*args):
+        factors.append(map_features(*args))
+        return factors[-1]
+
+    def recorded(*args, **kwargs):
+        result = bicluster(*args, **kwargs)
+        solutions.append(result[2])
+        return result
+
+    map_features, bicluster = cli.map_features, dual.bicluster
+    monkeypatch.setattr(cli, "map_features", mapped)
+    monkeypatch.setattr(dual, "bicluster", recorded)
+    assert main(["oracle", "--config", str(config), "--checkpoint",
+                 str(tmp_path / "out" / "checkpoint.json"), "--seed", "1",
+                 "--output-dir", str(tmp_path / "oracle")]) == EXIT_OK
+    [sf], [solution] = factors, solutions
+    rows, cols, dense = bicluster(model.similarity_matrix(sf), 2, 1)
+    for name, clusters in (("row_clusters.csv", rows),
+                           ("col_clusters.csv", cols)):
+        written = np.loadtxt(tmp_path / "oracle" / name, delimiter=",",
+                             skiprows=1, dtype=np.int64)
+        np.testing.assert_array_equal(written[:, 1], clusters, err_msg=name)
+    np.testing.assert_allclose(solution.singular_values,
+                               dense.singular_values, rtol=0, atol=1e-12)
+
+
 def test_oracle_needs_a_config_and_a_checkpoint(tmp_path, dataset,
                                                 monkeypatch, capsys):
     """The oracle checks a checkpoint and nothing else: a missing

@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hencler.dual import _normalized, bicluster, dual_projections, \
+from hencler.dual import _normalized, _top_svd, bicluster, dual_projections, \
     eigen_form_check, stationarity_residual
 from hencler.evaluate import nmi
 from hencler.linalg import kmeans
@@ -209,29 +210,63 @@ def test_embedding_recovery_relation():
                     assert nmi(unscaled, scaled) < 0.9, form
 
 
-@pytest.mark.parametrize("n, m, d, tied", [
-    pytest.param(40, 30, 5, False, id="40-30-5-False-False"),  # n > d_f
+def rank_deficient(phi, psi, case):
+    """`phi` and `psi` with a duplicated column, a zero column (its
+    Householder reflector has tau 0) or of rank 2, all still nonnegative."""
+    if case == "duplicate":
+        phi[:, 1], psi[:, 1] = phi[:, 0], psi[:, 0]
+    elif case == "zero":
+        phi[:, 2] = psi[:, 2] = 0.0
+    elif case == "rank-2":  # the first two columns times the first two rows
+        phi, psi = phi[:, :2] @ phi[:2], psi[:, :2] @ psi[:2]
+    return phi, psi
+
+
+@pytest.mark.parametrize("n, m, d, tied, k, case", [
+    # n > d_f
+    pytest.param(40, 30, 5, False, 3, None, id="40-30-5-False-False"),
     # square, as in the oracle
-    pytest.param(30, 30, 5, False, id="30-30-5-False-False"),
-    pytest.param(6, 7, 12, False, id="6-7-12-False-False"),  # n < d_f
-    pytest.param(25, 25, 4, True, id="25-25-4-True-False"),  # phi is psi
+    pytest.param(30, 30, 5, False, 3, None, id="30-30-5-False-False"),
+    pytest.param(6, 7, 12, False, 3, None, id="6-7-12-False-False"),  # n < d_f
+    # phi is psi
+    pytest.param(25, 25, 4, True, 3, None, id="25-25-4-True-False"),
+    pytest.param(40, 30, 8, False, 2, "duplicate", id="40-30-8-duplicate"),
+    pytest.param(40, 30, 8, False, 2, "zero", id="40-30-8-zero"),
+    pytest.param(40, 30, 8, False, 2, "rank-2", id="40-30-8-rank-2"),
 ])
-def test_factored_matches_dense(n, m, d, tied):
-    phi, psi = positive_factors(n, m, d, seed=n + d)
+def test_factored_matches_dense(n, m, d, tied, k, case):
+    phi, psi = rank_deficient(*positive_factors(n, m, d, seed=n + d), case)
     if tied:
         psi = phi
     forms = input_forms(phi, psi)
-    rows_d, cols_d, dense = bicluster(forms["dense"], k=3, seed=0)
-    rows_f, cols_f, fact = bicluster(forms["factored"], k=3, seed=0)
+    rows_d, cols_d, dense = bicluster(forms["dense"], k=k, seed=0)
+    rows_f, cols_f, fact = bicluster(forms["factored"], k=k, seed=0)
     np.testing.assert_allclose(fact.singular_values, dense.singular_values,
                                rtol=0, atol=1e-12)
     for a, b in ((dense.left_vectors, fact.left_vectors),
                  (dense.right_vectors, fact.right_vectors)):
         np.testing.assert_allclose(principal_cosines(a, b), 1.0,
                                    rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.T @ b, np.eye(k), rtol=0, atol=1e-13)
     np.testing.assert_array_equal(rows_f, rows_d)
     np.testing.assert_array_equal(cols_f, cols_d)
     assert eigen_form_check(forms["factored"], fact) < 1e-12
+
+
+def test_factored_svd_forms_no_q():
+    """The factored SVD keeps the two raw QRs and applies their reflectors,
+    so past a warm-up call its traced peak stays under 2.6 n d_f float64s;
+    forming the two n x d_f Q factors as well peaks at 3.09."""
+    n, d = 3000, 128
+    similarity = SimilarityFactor(*positive_factors(n, n, d, seed=7))
+    _top_svd(similarity, 3)
+    tracemalloc.start()
+    try:
+        _top_svd(similarity, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * n * d * 8
 
 
 def test_factored_rank_above_d_f_rejected():
