@@ -8,12 +8,16 @@ per-node embedding pair; two decoders reconstruct node features and edges.
 All forward arithmetic lives in the tape builders (`feature_maps`,
 `projections`, ...); `map_features` wraps the first for plain arrays.
 Only the training forward runs them on `HenclerParams.leaves()`; on the
-plain arrays they record no tape.
+plain arrays they record no tape. Checkpoints are JSON of format version 4,
+each parameter stored as its exact float64 bytes (`save_checkpoint`).
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -215,25 +219,30 @@ def similarity_matrix(sf: SimilarityFactor) -> np.ndarray:
     return sf.source @ sf.target.T
 
 
-def save_checkpoint(params: HenclerParams, path) -> None:
-    """Write the bytes of `json.dumps` of {"version": 3, "dims": ...,
-    "params": {name: {"shape": ..., "data": ...}}}, one parameter at a time,
-    so only one parameter's list and text are in memory at once."""
-    head = json.dumps({"version": 3, "dims": asdict(params.dims)})
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(head[:-1] + ', "params": {')
-        for i, (name, arr) in enumerate(params.arrays.items()):
-            entry = {"shape": list(arr.shape), "data": arr.ravel().tolist()}
-            handle.write(f"{', ' if i else ''}{json.dumps(name)}: "
-                         f"{json.dumps(entry)}")
-        handle.write("}}")
+def save_checkpoint(params: HenclerParams, path: Path) -> None:
+    """Write `json.dumps` of {"version": 4, "dims": ..., "params": {name:
+    {"shape": ..., "data": base64 of the little-endian C-order float64
+    bytes}}}, one parameter at a time, to a temporary file then renamed."""
+    head = json.dumps({"version": 4, "dims": asdict(params.dims)})
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(head[:-1] + ', "params": {')
+            for i, (name, arr) in enumerate(params.arrays.items()):
+                data = base64.b64encode(arr.astype("<f8").tobytes()).decode()
+                entry = {name: {"shape": list(arr.shape), "data": data}}
+                handle.write((", " if i else "") + json.dumps(entry)[1:-1])
+            handle.write("}}")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone after a successful replace
 
 
 def load_checkpoint(path) -> HenclerParams:
-    """Read a checkpoint. Its dims must be positive integers, and its
-    parameters finite and equal to `_param_shapes(dims, tied)` in names and
-    shapes, with `tied` read from the names as `HenclerParams.tied` does;
-    otherwise CheckpointError names the first field that is not."""
+    """Read a format-4 checkpoint. Its dims must be positive integers, and
+    its parameters finite, 8 bytes per element, and `_param_shapes(dims,
+    tied)` in names and shapes, `tied` read from the names as in
+    `HenclerParams.tied`; else CheckpointError names the first that is not."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -242,14 +251,20 @@ def load_checkpoint(path) -> HenclerParams:
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: malformed JSON: {exc}") from exc
     version = doc.get("version") if isinstance(doc, dict) else None
-    if version != 3:
+    if version != 4:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version: {version!r}")
     try:
         dims = ModelDims(**doc["dims"])
-        arrays = {name: np.asarray(entry["data"], dtype=np.float64)
-                  .reshape(entry["shape"])
-                  for name, entry in doc["params"].items()}
+        arrays = {}
+        for name, entry in doc["params"].items():
+            shape = entry["shape"]
+            raw = base64.b64decode(entry["data"], validate=True)
+            if not all(type(size) is int and size >= 0 for size in shape) \
+                    or len(raw) != 8 * math.prod(shape):  # Python ints
+                raise ValueError(f"{name!r}: {len(raw)} bytes, shape {shape}")
+            arrays[name] = np.frombuffer(raw, "<f8").reshape(shape) \
+                .astype(np.float64)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc!r}") \
             from exc

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -26,11 +27,28 @@ def tiny_graph(num_nodes=6, d_x=4, seed=0, with_labels=True):
     return AttributedGraph(edges, rng.normal(size=(num_nodes, d_x)), labels)
 
 
-def version_2_doc(doc):
-    """`doc`, a version-3 checkpoint of an untied model, in the format
-    before the pre-batchnorm biases were deleted: version 2, with `tied`
-    and src.b2 and dst.b2."""
+def float64_b64(values):
+    """Format-4 checkpoint data: base64 of the little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
+def format_3_doc(doc):
+    """`doc`, a version-4 checkpoint, in the format before the parameters
+    were stored as bytes: version 3, each parameter's data a list of
+    floats."""
     old = json.loads(json.dumps(doc))
+    old["version"] = 3
+    for entry in old["params"].values():
+        entry["data"] = np.frombuffer(base64.b64decode(entry["data"]),
+                                      "<f8").tolist()
+    return old
+
+
+def version_2_doc(doc):
+    """`doc`, a version-4 checkpoint of an untied model, in the format
+    before the pre-batchnorm biases were deleted: version 2, which is
+    version 3 with `tied` and src.b2 and dst.b2."""
+    old = format_3_doc(doc)
     old.update(version=2, tied=False)
     d_f = doc["dims"]["d_f"]
     for prefix in ("src", "dst"):

@@ -1,3 +1,4 @@
+import base64
 import json
 import platform
 import shlex
@@ -10,7 +11,7 @@ from hencler import cli, dual, model
 from hencler.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, main, run_benchmark
 from hencler.graphio import AttributedGraph, load_graph, random_walk_pe
 from hencler.synthetic import heterophilous_blobs, write_graph_tsv
-from conftest import version_2_doc
+from conftest import format_3_doc, version_2_doc
 
 
 @pytest.fixture
@@ -407,7 +408,8 @@ def test_mismatched_checkpoint_exits_2(tmp_path, dataset, capsys):
     huge["dims"]["d_f"] = 10 ** 15
     for i, (name, bad) in enumerate((
             ("rec.w1", missing), ("proj_src", reshaped), ("src.w2", huge),
-            ("unsupported checkpoint version: 2", version_2_doc(doc)))):
+            ("unsupported checkpoint version: 2", version_2_doc(doc)),
+            ("unsupported checkpoint version: 3", format_3_doc(doc)))):
         path = tmp_path / f"bad-{i}.json"
         path.write_text(json.dumps(bad))
         for command in (["oracle", "--output-dir", str(tmp_path / "oracle")],
@@ -419,6 +421,31 @@ def test_mismatched_checkpoint_exits_2(tmp_path, dataset, capsys):
             assert name in capsys.readouterr().err
     assert not (tmp_path / "oracle").exists()
     assert not (tmp_path / "sim.csv").exists()
+
+
+def test_checkpoint_decodes_with_the_standard_library(tmp_path, dataset,
+                                                      monkeypatch):
+    """The documented encoding, read without hencler: each parameter's
+    data is standard base64 of its little-endian float64 bytes in C order,
+    and decodes to the trained arrays bit for bit."""
+    trained = {}
+
+    def keep(params, path):
+        trained.update((k, v.copy()) for k, v in params.arrays.items())
+        model.save_checkpoint(params, path)
+
+    monkeypatch.setattr(cli, "save_checkpoint", keep)
+    assert main(["train", "--config",
+                 str(write_config(tmp_path, dataset))]) == EXIT_OK
+    doc = json.loads((tmp_path / "out" / "checkpoint.json").read_text())
+    assert doc["version"] == 4
+    assert list(doc["params"]) == list(trained)
+    for name, entry in doc["params"].items():
+        raw = base64.b64decode(entry["data"], validate=True)
+        value = np.frombuffer(raw, "<f8").reshape(entry["shape"])
+        assert value.shape == trained[name].shape, name
+        np.testing.assert_array_equal(value.view(np.int64),
+                                      trained[name].view(np.int64), name)
 
 
 def test_oracle_rejects_more_clusters_than_d_f(tmp_path, dataset, capsys,

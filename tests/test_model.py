@@ -1,4 +1,6 @@
+import base64
 import dataclasses
+import errno
 import json
 import tracemalloc
 
@@ -12,7 +14,8 @@ from hencler.model import CheckpointError, HenclerParams, ModelDims, \
     edge_logits, feature_maps, init_params, load_checkpoint, map_features, \
     node_decoder, projections, save_checkpoint, similarity_matrix
 from hencler.synthetic import heterophilous_blobs, random_sparse_graph
-from conftest import tiny_graph, version_2_doc
+from conftest import float64_b64, format_3_doc, tiny_graph, \
+    version_2_doc
 
 LEAKY = 0.01
 BN_EPS = 1e-5
@@ -339,9 +342,10 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_is_one_json_document_written_in_parts(tmp_path, tied):
     """The file holds the bytes of `json.dumps` of the whole document, yet
     the writer's traced peak stays under 180 bytes per value of the largest
-    array. Measured on these (the CLI's default) dims: 139 when written one
-    parameter at a time; 225 tied and 295 untied when the document was
-    built and dumped whole."""
+    array. Measured on these (the CLI's default) dims: 32.5 with base64
+    data (format 4); 139 for format 3's float lists written one parameter
+    at a time; 225 tied and 295 untied when format 3's document was built
+    and dumped whole."""
     params = init_params(ModelDims(d_x=16, k_pe=16, hidden=256, d_f=128, s=4),
                          seed=3, tied=tied)
     path = tmp_path / "checkpoint.json"
@@ -352,10 +356,10 @@ def test_checkpoint_is_one_json_document_written_in_parts(tmp_path, tied):
     finally:
         tracemalloc.stop()
     doc = {
-        "version": 3,
+        "version": 4,
         "dims": dataclasses.asdict(params.dims),
         "params": {
-            name: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+            name: {"shape": list(arr.shape), "data": float64_b64(arr)}
             for name, arr in params.arrays.items()
         },
     }
@@ -372,6 +376,9 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
 
 
 def test_checkpoint_rejects_params_that_do_not_match_dims(tmp_path):
+    """Each malformed checkpoint raises CheckpointError, and none allocates
+    the arrays its dims or shapes declare: the loader's traced peak stays
+    within a small multiple of the file's size."""
     g = tiny_graph(num_nodes=5, d_x=3, seed=16)
     _, params = make_model(g, seed=17)
     path = tmp_path / "checkpoint.json"
@@ -382,13 +389,14 @@ def test_checkpoint_rejects_params_that_do_not_match_dims(tmp_path):
     del missing["params"]["rec.w1"]
     cases.append((missing, r"missing \['rec.w1'\]"))
     extra = json.loads(json.dumps(good))
-    extra["params"]["bogus"] = {"shape": [1], "data": [0.0]}
+    extra["params"]["bogus"] = {"shape": [1], "data": float64_b64([0.0])}
     cases.append((extra, r"unexpected \['bogus'\]"))
     reshaped = json.loads(json.dumps(good))
     reshaped["params"]["proj_src"]["shape"].reverse()
     cases.append((reshaped, "'proj_src' has shape"))
     truncated = json.loads(json.dumps(good))
-    truncated["params"]["proj_src"]["data"].pop()
+    truncated["params"]["proj_src"]["data"] = float64_b64(
+        params.arrays["proj_src"].ravel()[:-1])
     cases.append((truncated, "malformed checkpoint"))
     for key, value in (("hidden", 10.0), ("s", True), ("d_f", -7),
                        ("k_pe", 0)):
@@ -410,18 +418,67 @@ def test_checkpoint_rejects_params_that_do_not_match_dims(tmp_path):
     cases.append((no_dst_w2, r"missing \['dst.w2'\]"))
     for value in (float("nan"), float("inf")):
         non_finite = json.loads(json.dumps(good))
-        non_finite["params"]["proj_src"]["data"][3] = value
+        data = params.arrays["proj_src"].ravel().copy()
+        data[3] = value
+        non_finite["params"]["proj_src"]["data"] = float64_b64(data)
         cases.append((non_finite, "'proj_src' has non-finite values"))
+    # data that is not base64 of 8 bytes per element of a shape of
+    # non-negative ints; [-1, -n], [true, n] and [0.5, 2n] hold as many
+    # elements as the data, and [10**15, 10**15] overflows int64
+    raw = params.arrays["proj_src"].astype("<f8").tobytes()
+    size = params.arrays["proj_src"].size
+    for field, value in (
+            ("data", "@@" + good["params"]["proj_src"]["data"]),
+            ("data", base64.b64encode(raw + raw[:8]).decode()),
+            ("data", params.arrays["proj_src"].ravel().tolist()),
+            ("data", 0.0), ("data", None), ("shape", [-1, -size]),
+            ("shape", [True, size]), ("shape", [0.5, 2 * size]),
+            ("shape", [1.5, size]), ("shape", [10 ** 15, 10 ** 15]),
+            ("shape", size)):
+        undecodable = json.loads(json.dumps(good))
+        undecodable["params"]["proj_src"][field] = value
+        cases.append((undecodable, "malformed checkpoint"))
     # the format before the spectrum was fixed: version 1, with sv_logits
-    old_format = json.loads(json.dumps(good))
+    old_format = format_3_doc(good)
     old_format["version"] = 1
     old_format["params"]["sv_logits"] = {"shape": [4], "data": [0.0] * 4}
     cases.append((old_format, "unsupported checkpoint version: 1"))
     cases.append((version_2_doc(good), "unsupported checkpoint version: 2"))
+    # the format before the parameters were stored as bytes: version 3
+    cases.append((format_3_doc(good), "unsupported checkpoint version: 3"))
     for doc, message in cases:
         path.write_text(json.dumps(doc))
-        with pytest.raises(CheckpointError, match=message):
-            load_checkpoint(path)
-    path.write_text('{"version": 3,')
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match=message):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * path.stat().st_size, (message, peak)
+    path.write_text('{"version": 4,')
     with pytest.raises(CheckpointError, match="malformed JSON"):
         load_checkpoint(path)
+
+
+def test_failed_checkpoint_write_keeps_the_old_file(tmp_path):
+    """A write that fails partway (here on the third parameter, as on a
+    full disk) leaves an existing checkpoint's bytes as they were and no
+    temporary file behind."""
+    _, params = make_model(tiny_graph(num_nodes=5, d_x=3, seed=16), seed=17)
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(params, path)
+    before = path.read_bytes()
+
+    class FailsOnThird(dict):
+        def items(self):
+            for i, item in enumerate(super().items()):
+                if i == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                yield item
+
+    failing = HenclerParams(params.dims, FailsOnThird(params.arrays))
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(failing, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.json"]
