@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 runtime/numeric failure, 2 config/parse error,
 3 guard violation. `train` seeds from the config's `seed`; `oracle` and
 `benchmark` seed from `--seed` (default 0) and never read the config's
 `seed`, so `oracle` on a model's own config clusters with seed 0 unless
-`--seed` is given. No command reads the environment.
+`--seed` is given. No command reads the environment. Every file a command
+writes goes through `graphio.replace_on_success`, whole or not at all.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .dual import oracle_report
 from .evaluate import assign_clusters
 from .graphio import AttributedGraph, GraphFormatError, load_graph, \
-    random_walk_pe
+    random_walk_pe, replace_on_success
 from .model import CheckpointError, load_checkpoint, map_features, \
     save_checkpoint, similarity_matrix
 from .synthetic import random_sparse_graph
@@ -202,21 +203,15 @@ def _positional_encoding(g: AttributedGraph, k_pe: int, directory: Path,
     `k_pe` is there, else computed and, with `store`, written there.
 
     A file that is there but fails validation is an input error, never
-    silently recomputed. The write goes to a temporary name, removed if the
-    write fails, so a crashed write never leaves a file under the final name.
+    silently recomputed.
     """
     path = _pe_path(directory, g, k_pe)
     if path.is_file():
         return _read_pe(path, g.num_nodes, k_pe)
     pe = random_walk_pe(g, k_pe)
     if store:
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "wb") as handle:
-                np.save(handle, pe, allow_pickle=False)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)  # gone after a successful replace
+        with replace_on_success(path, "wb") as handle:
+            np.save(handle, pe, allow_pickle=False)
     return pe
 
 
@@ -235,7 +230,7 @@ def _sizes(text: str) -> list[int]:
 
 
 def _write_assignment(path, assignment) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with replace_on_success(path) as handle:
         handle.write("node,cluster\n")
         for node, cluster in enumerate(assignment):
             handle.write(f"{node},{cluster}\n")
@@ -245,7 +240,7 @@ def _write_embeddings(path, source, target) -> None:
     s = source.shape[1]
     header = ",".join(["node"] + [f"e{i}" for i in range(s)]
                       + [f"r{i}" for i in range(s)])
-    with open(path, "w", encoding="utf-8") as handle:
+    with replace_on_success(path) as handle:
         handle.write(header + "\n")
         rows = zip(source.tolist(), target.tolist())
         for node, (src_row, dst_row) in enumerate(rows):
@@ -291,8 +286,8 @@ def cmd_train(args) -> int:
     total_wall = sum(r.wall_time_s for r in records)
     print(f"trained {len(records)} run(s) in {total_wall:.1f}s")
 
-    (out_dir / "metrics.json").write_text(json.dumps(metrics, indent=1),
-                                          encoding="utf-8")
+    with replace_on_success(out_dir / "metrics.json") as handle:
+        handle.write(json.dumps(metrics, indent=1))
     params, first = results[0]
     save_checkpoint(params, out_dir / "checkpoint.json")
     source, target = first.embeddings
@@ -326,8 +321,8 @@ def cmd_oracle(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_assignment(out_dir / "row_clusters.csv", rows)
     _write_assignment(out_dir / "col_clusters.csv", cols)
-    (out_dir / "oracle.json").write_text(json.dumps(report, indent=1),
-                                         encoding="utf-8")
+    with replace_on_success(out_dir / "oracle.json") as handle:
+        handle.write(json.dumps(report, indent=1))
     return EXIT_OK
 
 
@@ -388,7 +383,7 @@ def cmd_benchmark(args) -> int:
     out_path = _output_path(args.output, directory=False)
     result = run_benchmark(sizes, epochs=args.epochs, seed=seed,
                            measure_memory=args.memory)
-    with open(out_path, "w", encoding="utf-8") as handle:
+    with replace_on_success(out_path) as handle:
         header = "n,seconds,pe_seconds" + (",peak_mb" if args.memory else "")
         handle.write(header + "\n")
         for row in result["rows"]:
@@ -428,7 +423,7 @@ def cmd_export_similarity(args) -> int:
     sorted_sim = sim[np.ix_(order, order)]
     asymmetry = float(np.max(np.abs(sim - sim.T)))
     print(f"max |S - S^T| = {asymmetry:.3e}")
-    with open(out_path, "w", encoding="utf-8") as handle:
+    with replace_on_success(out_path) as handle:
         for row in sorted_sim:
             handle.write(",".join(repr(float(x)) for x in row) + "\n")
     return EXIT_OK

@@ -31,6 +31,8 @@ or the backward rule allocated itself.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 LEAKY_SLOPE = 0.01
@@ -230,15 +232,28 @@ def concat(a, b, axis: int = 1) -> Var:
 
 
 def gather_rows(a, idx) -> Var:
-    """Select rows a[idx]; backward scatter-adds (duplicate indices accumulate)."""
+    """Select rows a[idx]; backward scatter-adds (duplicate indices accumulate).
+
+    The scatter adds into zeros in index order, as `np.add.at` does, with the
+    same bits: one slice add when `idx` is one ascending run of rows, else
+    one `np.bincount` per column, which needs the indices made non-negative.
+    """
     a = _lift(a)
-    idx = np.asarray(idx, dtype=np.intp)
-    out = a.value[idx]
     shape, dtype = a.value.shape, a.value.dtype
+    idx = np.arange(shape[0])[np.asarray(idx, dtype=np.intp)]
+    out = a.value[idx]
+    width = math.prod(shape[1:])
+    run = idx.size > 0 and idx[-1] - idx[0] == idx.size - 1 \
+        and bool(np.all(np.diff(idx) == 1))
 
     def back(g):
         acc = np.zeros(shape, dtype=dtype)
-        np.add.at(acc, idx, g)
+        if run:
+            acc[idx[0]:idx[-1] + 1] += g
+            return acc
+        rows = acc.reshape(shape[0], width)
+        for c, column in enumerate(g.reshape(idx.size, width).T):
+            rows[:, c] = np.bincount(idx, weights=column, minlength=shape[0])
         return acc
 
     return Var(out, ((a, back),), op="gather_rows")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,6 +189,21 @@ def load_graph(edge_path, feature_path, label_path=None,
     labels = (None if label_path is None
               else _parse_labels(Path(label_path), num_nodes))
     return AttributedGraph(_dedup(edges, num_nodes), features, labels)
+
+
+@contextmanager
+def replace_on_success(path, mode: str = "w"):
+    """Yield a handle on `.<name>.<pid>.tmp` beside `path`, opened in `mode`
+    ("w": UTF-8 text, or "wb"), and `os.replace` it onto `path` when the
+    block ends, so a failed write leaves the old file and no temporary."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone after a successful replace
 
 
 def symmetrize(g: AttributedGraph) -> AttributedGraph:

@@ -17,14 +17,13 @@ from __future__ import annotations
 import base64
 import json
 import math
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import gradients as ad
-from .graphio import AttributedGraph
+from .graphio import AttributedGraph, replace_on_success
 
 __all__ = [
     "CheckpointError",
@@ -222,20 +221,15 @@ def similarity_matrix(sf: SimilarityFactor) -> np.ndarray:
 def save_checkpoint(params: HenclerParams, path: Path) -> None:
     """Write `json.dumps` of {"version": 4, "dims": ..., "params": {name:
     {"shape": ..., "data": base64 of the little-endian C-order float64
-    bytes}}}, one parameter at a time, to a temporary file then renamed."""
+    bytes}}}, one parameter at a time, through `replace_on_success`."""
     head = json.dumps({"version": 4, "dims": asdict(params.dims)})
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(head[:-1] + ', "params": {')
-            for i, (name, arr) in enumerate(params.arrays.items()):
-                data = base64.b64encode(arr.astype("<f8").tobytes()).decode()
-                entry = {name: {"shape": list(arr.shape), "data": data}}
-                handle.write((", " if i else "") + json.dumps(entry)[1:-1])
-            handle.write("}}")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)  # gone after a successful replace
+    with replace_on_success(path) as handle:
+        handle.write(head[:-1] + ', "params": {')
+        for i, (name, arr) in enumerate(params.arrays.items()):
+            data = base64.b64encode(arr.astype("<f8").tobytes()).decode()
+            entry = {name: {"shape": list(arr.shape), "data": data}}
+            handle.write((", " if i else "") + json.dumps(entry)[1:-1])
+        handle.write("}}")
 
 
 def load_checkpoint(path) -> HenclerParams:

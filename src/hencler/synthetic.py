@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graphio import AttributedGraph, symmetrize
+from .graphio import AttributedGraph, replace_on_success, symmetrize
 
 __all__ = [
     "heterophilous_blobs",
@@ -74,13 +74,13 @@ def random_sparse_graph(num_nodes: int, avg_degree: float = 8.0,
 def write_graph_tsv(g: AttributedGraph, edge_path, feature_path,
                     label_path=None) -> None:
     """Dump a graph in the TSV formats the loader reads back."""
-    with open(edge_path, "w", encoding="utf-8") as handle:
+    with replace_on_success(edge_path) as handle:
         for src, dst in g.edges:
             handle.write(f"{src}\t{dst}\n")
-    with open(feature_path, "w", encoding="utf-8") as handle:
+    with replace_on_success(feature_path) as handle:
         for row in g.features:
             handle.write("\t".join(repr(float(x)) for x in row) + "\n")
     if label_path is not None and g.labels is not None:
-        with open(label_path, "w", encoding="utf-8") as handle:
+        with replace_on_success(label_path) as handle:
             for label in g.labels:
                 handle.write(f"{label}\n")

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hencler import gradients as ad
 from hencler.cli import run_benchmark
 from hencler.dual import bicluster, dual_projections, eigen_form_check, \
     stationarity_residual
@@ -22,8 +23,10 @@ from hencler.loss import build_total_loss, sample_edges
 from hencler.model import ModelDims, SimilarityFactor, init_params
 from hencler.synthetic import heterophilous_blobs
 from hencler.trainer import TrainConfig, train
-from reference import center_dual, center_primal, fenchel_young_check, \
-    frobenius_relerr, grad_check, planted_block_similarity
+import reference
+from reference import center_dual, center_primal, directional_check, \
+    fenchel_young_check, frobenius_relerr, grad_check, \
+    planted_block_similarity
 
 TEXAS_DIR = Path(__file__).resolve().parent.parent / "data" / "texas"
 
@@ -83,6 +86,50 @@ def test_criterion_1_gradient_correctness():
     report(1, worst < 1e-4 and elapsed < 60.0,
            f"max relative gradient error {worst:.3e} (< 1e-4), "
            f"runtime {elapsed:.1f}s (< 60s)")
+
+
+def criterion_1_point(seed):
+    """Criterion 1's loss builder and leaves for one seed: a 10-node graph
+    at default dims, the parameters moved off the init by 0.05 noise."""
+    g = heterophilous_blobs(num_nodes=10, num_classes=3, avg_degree=4,
+                            feature_dim=6, seed=seed)
+    x_aug = np.hstack([g.features, random_walk_pe(g, 4)])
+    params = init_params(ModelDims(d_x=6, k_pe=4, hidden=256, d_f=128, s=6),
+                         seed=seed)
+    rng = np.random.default_rng(seed + 1000)
+    for key in params.arrays:
+        params.arrays[key] = params.arrays[key] \
+            + 0.05 * rng.normal(size=params.arrays[key].shape)
+    sample = sample_edges(g, seed=100 + seed)
+
+    def builder(p):
+        return build_total_loss(p, x_aug, g.features, sample)["total"]
+
+    return builder, params.leaves()
+
+
+# Over init seeds 1000-1099, held out while the check was written, the worst
+# directional error per seed had a median of 3.5e-8 and a maximum of 1.5e-6.
+# A gradient off by a relative 1e-5 reads 1.0e-5.
+DIRECTIONAL_BOUND = 5e-6
+
+
+def test_directional_gradient_check(monkeypatch):
+    """The tape's gradient along 3 random unit directions per parameter
+    array matches the central difference, on criterion 1's setup, to a
+    bound that a gradient scaled by 1 + 1e-5 on one array exceeds."""
+    worst = max(directional_check(*criterion_1_point(seed), seed=seed)
+                for seed in range(5))
+    assert worst < DIRECTIONAL_BOUND, worst
+
+    def scaled(loss, wrt):
+        grads = ad.backward(loss, wrt)
+        grads["src.w1"] = grads["src.w1"] * (1.0 + 1e-5)
+        return grads
+
+    monkeypatch.setattr(reference, "backward", scaled)
+    control = directional_check(*criterion_1_point(0), seed=0)
+    assert control > DIRECTIONAL_BOUND, control
 
 
 def test_criterion_2_primal_dual_consistency():

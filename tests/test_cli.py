@@ -1,5 +1,9 @@
 import base64
+import builtins
+import errno
+import io
 import json
+import os
 import platform
 import shlex
 from pathlib import Path
@@ -842,6 +846,120 @@ def test_failed_pe_write_leaves_no_temporary_file(tmp_path, dataset,
     out = tmp_path / "out"
     assert [p.name for p in out.iterdir() if p.name.endswith(".tmp")] == []
     assert pe_files(out) == []
+
+
+class FullDisk:
+    """A file handle that takes `budget` more characters or bytes, then
+    raises ENOSPC partway through the write that overflows it."""
+
+    def __init__(self, handle, budget=16):
+        self.handle, self.budget = handle, budget
+
+    def write(self, data):
+        if len(data) > self.budget:
+            self.handle.write(data[:self.budget])
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+        return self.handle.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.handle, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+
+def fail_writes_to(monkeypatch, name, how):
+    """Make the next write of the file called `name` fail. With "write" its
+    handle (on `name` or on a temporary `.<name>.*`) runs out of disk; with
+    "replace" `os.replace` refuses to move a file onto it."""
+    if how == "replace":
+        replace = os.replace
+
+        def failing_replace(src, dst, **kwargs):
+            if Path(dst).name == name:
+                raise OSError(errno.EIO, "rename failed")
+            return replace(src, dst, **kwargs)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        return
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if isinstance(file, (str, os.PathLike)) and set(mode) & set("wax+") \
+                and (Path(file).name == name
+                     or Path(file).name.startswith(f".{name}.")):
+            return FullDisk(handle)
+        return handle
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    monkeypatch.setattr(io, "open", failing_open)  # Path.write_text's open
+
+
+WRITER_CASES = [("train", name) for name in ("metrics.json",
+                                             "assignment.csv",
+                                             "embeddings.csv",
+                                             "checkpoint.json")] + \
+    [("oracle", name) for name in ("row_clusters.csv", "col_clusters.csv",
+                                   "oracle.json")] + \
+    [("export-similarity", "similarity.csv"), ("benchmark", "bench.csv")]
+
+
+@pytest.mark.parametrize("how", ["write", "replace"])
+@pytest.mark.parametrize("command,name", WRITER_CASES,
+                         ids=[name for _, name in WRITER_CASES])
+def test_failed_artifact_write_keeps_the_old_file(tmp_path, dataset,
+                                                  monkeypatch, capsys,
+                                                  command, name, how):
+    """Each command's artifact is whole or not written: when the disk fills
+    partway through it, or the rename onto it fails, the command exits 1,
+    the previous file keeps its bytes and no temporary file is left."""
+    config = write_config(tmp_path, dataset)
+    checkpoint = tmp_path / "out" / "checkpoint.json"
+    directory = {"train": tmp_path / "out",
+                 "oracle": tmp_path / "oracle"}.get(command, tmp_path)
+    argv = {"train": ["--config", str(config)],
+            "oracle": ["--config", str(config), "--checkpoint",
+                       str(checkpoint), "--output-dir", str(directory)],
+            "export-similarity": ["--config", str(config), "--checkpoint",
+                                  str(checkpoint), "--output",
+                                  str(tmp_path / name)],
+            "benchmark": ["--sizes", "20", "--epochs", "1", "--output",
+                          str(tmp_path / name)]}[command]
+    if command in ("oracle", "export-similarity"):
+        assert main(["train", "--config", str(config)]) == EXIT_OK
+    directory.mkdir(exist_ok=True)
+    old = f"previous {name}\n".encode()
+    (directory / name).write_bytes(old)
+    fail_writes_to(monkeypatch, name, how)
+    assert main([command, *argv]) == cli.EXIT_RUNTIME
+    message = "No space left" if how == "write" else "rename failed"
+    assert message in capsys.readouterr().err
+    assert (directory / name).read_bytes() == old
+    assert [p.name for p in directory.iterdir()
+            if p.name.endswith(".tmp")] == []
+
+
+@pytest.mark.parametrize("how", ["write", "replace"])
+@pytest.mark.parametrize("name", ["edges.tsv", "features.tsv", "labels.tsv"])
+def test_failed_graph_tsv_write_keeps_the_old_file(tmp_path, monkeypatch,
+                                                   name, how):
+    """`write_graph_tsv`'s files follow the same rule as the artifacts."""
+    g = heterophilous_blobs(num_nodes=12, num_classes=2, avg_degree=4,
+                            feature_dim=3, seed=1)
+    paths = [tmp_path / x for x in ("edges.tsv", "features.tsv",
+                                    "labels.tsv")]
+    old = f"previous {name}\n".encode()
+    (tmp_path / name).write_bytes(old)
+    fail_writes_to(monkeypatch, name, how)
+    with pytest.raises(OSError):
+        write_graph_tsv(g, *paths)
+    assert (tmp_path / name).read_bytes() == old
+    assert list(tmp_path.glob("*.tmp")) == []
 
 
 def test_oracle_and_export_read_the_pe_beside_the_checkpoint(

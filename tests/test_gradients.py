@@ -150,6 +150,24 @@ def test_gather_rows_accumulates_duplicates():
                                [[1, 1], [2, 2], [0, 0]])
 
 
+@pytest.mark.parametrize("idx", [[3, 1, 3, 3, 0, 1], [-1, 4, -5, 0, -1],
+                                 [1, 2, 3], list(range(6)), [2], []],
+                         ids=["repeated", "negative", "contiguous", "all",
+                              "single", "empty"])
+@pytest.mark.parametrize("shape", [(6, 3), (6,)], ids=["rows", "vector"])
+def test_gather_rows_backward_has_the_bits_of_add_at(idx, shape):
+    """The backward's scatter equals `np.add.at` into zeros bit for bit,
+    signed zeros included, on every index pattern the fast paths split."""
+    rng = np.random.default_rng(len(idx))
+    out = ad.gather_rows(ad.Var(rng.normal(size=shape)), idx)
+    g = rng.normal(size=out.value.shape) * 1e3
+    g.reshape(-1)[::3] = -0.0
+    ((_, back),) = out.parents
+    expected = np.zeros(shape)
+    np.add.at(expected, np.asarray(idx, dtype=np.intp), g)
+    assert np.array_equal(back(g).view(np.int64), expected.view(np.int64))
+
+
 def test_clamp_min_passes_gradient_only_above_floor():
     ps = make_params(x=np.array([0.5, 2.0]))
     loss = ad.reduce_sum(ad.clamp_min(ps["x"], 1.0))

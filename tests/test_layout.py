@@ -11,7 +11,8 @@ in tests/reference.py.
 No module of src/hencler reads the environment: a command's inputs are its
 config and its command-line options, which its artifacts can name. Only the
 modules in `CTYPES_IMPORTERS` import ctypes, so process-wide settings such as
-the allocator's have one home.
+the allocator's have one home. Only `WRITER` puts files on disk, so every
+artifact is replaced whole or left as it was.
 """
 
 import ast
@@ -211,3 +212,71 @@ def test_only_listed_modules_import_ctypes():
              for line in ctypes_imports(parse(path))]
     assert not found, ("imports ctypes, which can change process-wide state "
                        "outside the listed modules: " + ", ".join(found))
+
+
+# The one function of src/hencler that writes files, as (module, function).
+# It writes a temporary file beside the target and renames it onto the target
+# when the write succeeds, so a file holds its old bytes or all of the new.
+WRITER = ("graphio", "replace_on_success")
+WRITE_MODE = set("wax+")
+
+
+def _open_mode(call):
+    """The mode argument of an `open(file, mode)`, `io.open(file, mode)` or
+    `path.open(mode)` call, "r" when it is left out; None for other calls."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open" or (
+            isinstance(func, ast.Attribute) and func.attr == "open"
+            and isinstance(func.value, ast.Name) and func.value.id == "io"):
+        position = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        position = 0
+    else:
+        return None
+    if len(call.args) > position:
+        return call.args[position]
+    return next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                ast.Constant("r"))
+
+
+def file_writes(tree):
+    """(top-level name, line, what) of every place `tree` renames a file
+    through os, calls `Path.write_text` or `Path.write_bytes`, or opens a
+    file in a mode that can write (any mode that is not a constant can)."""
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("replace", "rename")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"):
+                yield owner, node.lineno, f"os.{node.attr}"
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                yield from ((owner, node.lineno, f"from os import {a.name}")
+                            for a in node.names
+                            if a.name in ("replace", "rename"))
+            elif isinstance(node, ast.Call):
+                if (isinstance(node.func, ast.Attribute)
+                        and node.func.attr in ("write_text", "write_bytes")):
+                    yield owner, node.lineno, f"Path.{node.func.attr}"
+                mode = _open_mode(node)
+                if mode is not None and not (
+                        isinstance(mode, ast.Constant)
+                        and isinstance(mode.value, str)
+                        and not set(mode.value) & WRITE_MODE):
+                    yield owner, node.lineno, "open for writing"
+
+
+def test_only_the_writer_writes_files():
+    writes = [(path.stem, owner, line, what)
+              for path in sorted(PACKAGE.glob("*.py"))
+              for owner, line, what in file_writes(parse(path))]
+    found = [f"{module}.py:{line} {what} in {owner}"
+             for module, owner, line, what in writes
+             if (module, owner) != WRITER]
+    assert not found, ("writes a file without graphio.replace_on_success, "
+                       "so a failed write can truncate it: "
+                       + ", ".join(found))
+    assert {what for module, owner, _, what in writes
+            if (module, owner) == WRITER} == {"os.replace",
+                                              "open for writing"}
