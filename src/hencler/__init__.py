@@ -4,7 +4,9 @@ The package trains twin feature maps whose inner products define an
 asymmetric similarity graph, optimizes a weighted kernel-SVD objective with
 node/edge reconstruction, and clusters nodes from the resulting embeddings.
 An exact dual solver (SVD biclustering of the factored similarity, never
-forming an n x n matrix) serves as the oracle for the trained model.
+forming an n x n matrix) serves as the oracle for the trained model. It
+takes the similarity only as a `SimilarityFactor`; a dense n x m S enters as
+`SimilarityFactor(S, np.eye(m))`.
 """
 
 from .graphio import AttributedGraph, load_graph, random_walk_pe, symmetrize

@@ -1,13 +1,12 @@
 """Exact dual-side machinery: the oracle for the trained model.
 
 The degree-normalized SVD biclustering and the block-eigenvalue residual
-accept the learned similarity either as its factors (a `SimilarityFactor`,
-S = Phi Psi^T) or as a dense matrix. The factored form is exact: S has rank
-at most d_f, so a QR of each degree-scaled factor reduces the SVD to a
-d_f x d_f core. Each Q is applied as its Householder reflectors, never
-formed, so the two `geqrf` calls cost O(n d_f^2), mapping the k core vectors
-back O(n d_f k), and no n x n array is formed. The dense form serves inputs
-that only exist as matrices and is the tests' reference.
+take the learned similarity as its factors (a `SimilarityFactor`,
+S = Phi Psi^T), which describe it exactly: S has rank at most d_f, so a QR
+of each degree-scaled factor reduces the SVD to a d_f x d_f core. Each Q is
+applied as its Householder reflectors, never formed, so the two `geqrf`
+calls cost O(n d_f^2), mapping the k core vectors back O(n d_f k), and no
+n x n array is formed. A dense S enters as `SimilarityFactor(S, I)`.
 `bicluster` computes the degrees of S once; its `DualSolution` carries them
 to the eigen-form check and the stationarity residual of given U and V.
 `oracle_report` builds `oracle.json` in one pass, at the dual's own U and V,
@@ -46,28 +45,22 @@ class DualSolution:
     col_degrees: np.ndarray  # (m,), d2 clamped at EPS_DEG
 
 
-def _degree_weights(s) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column masses of S, clamped at EPS_DEG with a warning.
-
-    A factored S gets them from factor column sums in O(n d_f).
-    """
-    if isinstance(s, SimilarityFactor):
-        row_mass = s.source @ s.target.sum(axis=0)
-        col_mass = s.target @ s.source.sum(axis=0)
-    else:
-        row_mass, col_mass = s.sum(axis=1), s.sum(axis=0)
+def _degree_weights(s: SimilarityFactor) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column masses of S, from factor column sums in O(n d_f),
+    clamped at EPS_DEG with a warning."""
+    row_mass = s.source @ s.target.sum(axis=0)
+    col_mass = s.target @ s.source.sum(axis=0)
     if np.any(row_mass < EPS_DEG) or np.any(col_mass < EPS_DEG):
         warnings.warn("similarity has near-zero row/column mass; "
                       f"clamping degrees at {EPS_DEG}")
     return np.maximum(row_mass, EPS_DEG), np.maximum(col_mass, EPS_DEG)
 
 
-def _scaled(s, row_scale: np.ndarray, col_scale: np.ndarray):
-    """diag(row_scale) S diag(col_scale), in the same form as S."""
-    if isinstance(s, SimilarityFactor):
-        return SimilarityFactor(source=row_scale[:, None] * s.source,
-                                target=col_scale[:, None] * s.target)
-    return row_scale[:, None] * s * col_scale[None, :]
+def _scaled(s: SimilarityFactor, row_scale: np.ndarray,
+            col_scale: np.ndarray) -> SimilarityFactor:
+    """diag(row_scale) S diag(col_scale), as its scaled factors."""
+    return SimilarityFactor(source=row_scale[:, None] * s.source,
+                            target=col_scale[:, None] * s.target)
 
 
 def _apply_q(h: np.ndarray, tau: np.ndarray, core: np.ndarray) -> np.ndarray:
@@ -83,8 +76,8 @@ def _apply_q(h: np.ndarray, tau: np.ndarray, core: np.ndarray) -> np.ndarray:
     return work.T
 
 
-def _top_svd(s, rank: int):
-    """Top-`rank` singular triple of S; a factored S goes through its core.
+def _top_svd(s: SimilarityFactor, rank: int):
+    """Top-`rank` singular triple of S, through the core of its factors.
 
     With A = Qa Ra and B = Qb Rb, A B^T = Qa (Ra Rb^T) Qb^T, so the SVD of
     the small core Ra Rb^T gives the exact singular values, and its vectors
@@ -92,8 +85,6 @@ def _top_svd(s, rank: int):
     applied as their Householder reflectors and never formed: the two
     `geqrf` factorizations cost O(n d_f^2), the application O(n d_f rank).
     """
-    if not isinstance(s, SimilarityFactor):
-        return thin_svd(s, rank)
     src, dst = (np.linalg.qr(f, mode="raw") for f in (s.source, s.target))
     # each R: the upper triangle of the first min(n, d_f) rows of h^T
     r_src, r_dst = (np.triu(h.T[:min(h.shape)]) for h, _ in (src, dst))
@@ -101,21 +92,21 @@ def _top_svd(s, rank: int):
     return _apply_q(*src, left), sing, _apply_q(*dst, right)
 
 
-def _normalized(s):
-    """D1^{-1/2} S D2^{-1/2} in the form of S, and the degrees d1, d2."""
+def _normalized(s: SimilarityFactor):
+    """D1^{-1/2} S D2^{-1/2} as its factors, and the degrees d1, d2."""
     d1, d2 = _degree_weights(s)
     return _scaled(s, 1.0 / np.sqrt(d1), 1.0 / np.sqrt(d2)), d1, d2
 
 
-def bicluster(similarity, k: int, seed: int = 0
+def bicluster(similarity: SimilarityFactor, k: int, seed: int = 0
               ) -> tuple[np.ndarray, np.ndarray, DualSolution]:
     """Spectral biclustering of an asymmetric similarity.
 
-    `similarity` is a `SimilarityFactor` of float64 factors or a dense
-    float64 matrix. SVD of the degree-normalized similarity gives the
-    embeddings; kmeans on the recovered row/column embeddings yields the two
-    assignments. The leading singular pair is kept. A factored similarity
-    supports at most d_f singular pairs; asking for more raises ValueError.
+    `similarity` is a `SimilarityFactor` of float64 factors. SVD of the
+    degree-normalized similarity gives the embeddings; kmeans on the
+    recovered row/column embeddings yields the two assignments. The leading
+    singular pair is kept. The factors support at most d_f singular pairs;
+    asking for more raises ValueError.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -165,23 +156,20 @@ def stationarity_residual(sf: SimilarityFactor, solution: DualSolution,
                _residual(h_r * sing[None, :], rhs_r))
 
 
-def eigen_form_check(similarity, solution: DualSolution) -> float:
+def eigen_form_check(similarity: SimilarityFactor, solution: DualSolution
+                     ) -> float:
     """Relative residual of the block eigenvalue system of the SVD weighted
     by w1 = 1/d1 and w2 = 1/d2, the inverse degrees of S `solution` carries.
 
-    `similarity` is a `SimilarityFactor` of float64 factors or a dense
-    float64 matrix; a factored one is applied as
+    `similarity` is a `SimilarityFactor` of float64 factors, applied as
     sqrt(w1) Phi (Psi^T (sqrt(w2) h)) without forming S.
     """
     d1, d2 = solution.row_degrees, solution.col_degrees
     weighted = _scaled(similarity, np.sqrt(1.0 / d1), np.sqrt(1.0 / d2))
     h_e, h_r = solution.left_vectors, solution.right_vectors
     sing = solution.singular_values
-    if isinstance(weighted, SimilarityFactor):
-        a, b = weighted.source, weighted.target
-        s_h_r, s_t_h_e = a @ (b.T @ h_r), b @ (a.T @ h_e)
-    else:
-        s_h_r, s_t_h_e = weighted @ h_r, weighted.T @ h_e
+    a, b = weighted.source, weighted.target
+    s_h_r, s_t_h_e = a @ (b.T @ h_r), b @ (a.T @ h_e)
     return max(_residual(h_e * sing[None, :], s_h_r),
                _residual(h_r * sing[None, :], s_t_h_e))
 

@@ -1,10 +1,11 @@
 """Reference checks and fixtures that only the tests use.
 
 None of these runs in a `hencler` command: the weighted centering that the
-dual construction rests on, a sampler of the conjugate-duality inequality,
-a finite-difference gradient check with kink rejection, edge homophily, a
-Frobenius relative error and a planted-block similarity. Import them like
-`conftest`: `from reference import grad_check`.
+dual construction rests on, the dense dual that the factored one is checked
+against, a sampler of the conjugate-duality inequality, a finite-difference
+gradient check with kink rejection, edge homophily, a Frobenius relative
+error and a planted-block similarity. Import them like `conftest`:
+`from reference import grad_check`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,12 @@ from typing import Callable
 
 import numpy as np
 
+from hencler.dual import DualSolution
 from hencler.gradients import Var, _topo_order, backward
 from hencler.graphio import AttributedGraph
+from hencler.linalg import kmeans, thin_svd
+from hencler.loss import EPS_DEG
+from hencler.model import SimilarityFactor
 
 _SLACK = 1e-12  # rounding allowance of fenchel_young_check
 _EPS = np.finfo(np.float64).eps
@@ -39,6 +44,28 @@ def center_dual(similarity, w1, w2) -> np.ndarray:
     m1 = np.eye(n) - np.outer(np.ones(n), w1) / w1.sum()
     m2 = np.eye(m) - np.outer(np.ones(m), w2) / w2.sum()
     return m1 @ s @ m2.T
+
+
+def exact_factor(similarity) -> SimilarityFactor:
+    """A dense n x m S as the factors (S, I_m), whose product is S exactly."""
+    s = np.asarray(similarity, dtype=np.float64)
+    return SimilarityFactor(source=s, target=np.eye(s.shape[1]))
+
+
+def dense_bicluster(similarity, k: int, seed: int = 0
+                    ) -> tuple[np.ndarray, np.ndarray, DualSolution]:
+    """`dual.bicluster` on a dense S, formed and decomposed as it stands:
+    the row and column sums clamped at EPS_DEG, the thin SVD of
+    D1^-1/2 S D2^-1/2, and kmeans on sqrt(d) h sigma for each side."""
+    s = np.asarray(similarity, dtype=np.float64)
+    d1 = np.maximum(s.sum(axis=1), EPS_DEG)
+    d2 = np.maximum(s.sum(axis=0), EPS_DEG)
+    row_scale, col_scale = 1.0 / np.sqrt(d1), 1.0 / np.sqrt(d2)
+    normalized = row_scale[:, None] * s * col_scale[None, :]
+    left, sing, right = thin_svd(normalized, k)
+    rows = kmeans(np.sqrt(d1)[:, None] * left * sing[None, :], k, seed=seed)
+    cols = kmeans(np.sqrt(d2)[:, None] * right * sing[None, :], k, seed=seed)
+    return rows, cols, DualSolution(left, right, sing, d1, d2)
 
 
 def fenchel_young_check(num_samples: int, dims: int, seed: int = 0) -> int:

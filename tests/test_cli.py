@@ -16,6 +16,7 @@ from hencler.cli import EXIT_CONFIG, EXIT_GUARD, EXIT_OK, main, run_benchmark
 from hencler.graphio import AttributedGraph, load_graph, random_walk_pe
 from hencler.synthetic import heterophilous_blobs, write_graph_tsv
 from conftest import format_3_doc, version_2_doc
+from reference import dense_bicluster
 
 
 @pytest.fixture
@@ -235,7 +236,7 @@ def test_oracle_clusters_match_the_dense_dual(tmp_path, dataset, monkeypatch):
                  str(tmp_path / "out" / "checkpoint.json"), "--seed", "1",
                  "--output-dir", str(tmp_path / "oracle")]) == EXIT_OK
     [sf], [solution] = factors, solutions
-    rows, cols, dense = bicluster(model.similarity_matrix(sf), 2, 1)
+    rows, cols, dense = dense_bicluster(model.similarity_matrix(sf), 2, 1)
     for name, clusters in (("row_clusters.csv", rows),
                            ("col_clusters.csv", cols)):
         written = np.loadtxt(tmp_path / "oracle" / name, delimiter=",",

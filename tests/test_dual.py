@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from hencler.dual import _normalized, _top_svd, bicluster, dual_projections, \
-    eigen_form_check, stationarity_residual
+    eigen_form_check, oracle_report, stationarity_residual
 from hencler.evaluate import nmi
 from hencler.linalg import kmeans
 from hencler.model import SimilarityFactor
-from reference import center_dual, center_primal, fenchel_young_check, \
-    frobenius_relerr, planted_block_similarity
+from reference import center_dual, center_primal, dense_bicluster, \
+    exact_factor, fenchel_young_check, frobenius_relerr, \
+    planted_block_similarity
 
 
 def positive_factors(n, m, d, seed):
@@ -24,8 +25,9 @@ def positive_factors(n, m, d, seed):
 
 
 def input_forms(phi, psi):
-    """The similarity phi @ psi.T as a dense matrix and as its factors."""
-    return {"dense": phi @ psi.T,
+    """The similarity phi @ psi.T formed densely and passed as (S, I), and
+    as its factors."""
+    return {"dense": exact_factor(phi @ psi.T),
             "factored": SimilarityFactor(source=phi, target=psi)}
 
 
@@ -73,24 +75,25 @@ def test_centering_primal_dual_equivalence():
 
 def test_bicluster_planted_blocks():
     sim, labels = planted_block_similarity([10, 12, 8], noise=0.01, seed=0)
-    rows, cols, _ = bicluster(sim, k=3, seed=0)
+    rows, cols, _ = bicluster(exact_factor(sim), k=3, seed=0)
     assert nmi(rows, labels) == 1.0
     assert nmi(cols, labels) == 1.0
 
 
 def test_bicluster_identity_gives_singletons():
     n = 6
-    rows, cols, _ = bicluster(np.eye(n), k=n, seed=0)
+    rows, cols, _ = bicluster(exact_factor(np.eye(n)), k=n, seed=0)
     assert len(set(rows.tolist())) == n
     assert len(set(cols.tolist())) == n
 
 
 def test_bicluster_noise_robust_and_permutation_invariant():
     sim, labels = planted_block_similarity([8, 8, 8], noise=0.01, seed=1)
-    rows_a, cols_a, _ = bicluster(sim, k=3, seed=0)
+    rows_a, cols_a, _ = bicluster(exact_factor(sim), k=3, seed=0)
     rng = np.random.default_rng(2)
     perm = rng.permutation(sim.shape[0])
-    rows_p, cols_p, _ = bicluster(sim[np.ix_(perm, perm)], k=3, seed=0)
+    rows_p, cols_p, _ = bicluster(exact_factor(sim[np.ix_(perm, perm)]),
+                                  k=3, seed=0)
     assert nmi(rows_p, labels[perm]) == 1.0
     assert nmi(cols_p, labels[perm]) == 1.0
     assert nmi(rows_a, labels) == 1.0
@@ -102,14 +105,15 @@ def test_normalized_weighting_consistency():
     w1 = 1.0 / sim.sum(axis=1)
     w2 = 1.0 / sim.sum(axis=0)
     direct = np.sqrt(w1)[:, None] * sim * np.sqrt(w2)[None, :]
-    assert frobenius_relerr(_normalized(sim)[0], direct) < 1e-12
+    scaled = _normalized(SimilarityFactor(source=phi, target=psi))[0]
+    assert frobenius_relerr(scaled.source @ scaled.target.T, direct) < 1e-12
 
 
 def test_normalized_singulars_at_most_one_for_nonneg():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         sim = rng.uniform(0.0, 1.0, size=(9, 7))
-        _, _, solution = bicluster(sim, k=5, seed=0)
+        _, _, solution = bicluster(exact_factor(sim), k=5, seed=0)
         assert solution.singular_values.max() <= 1.0 + 1e-10
 
 
@@ -131,8 +135,7 @@ def test_stationarity_exact_on_full_rank_solution():
 def test_stationarity_detects_perturbation():
     phi, psi = positive_factors(8, 6, 4, 6)
     sf = SimilarityFactor(source=phi, target=psi)
-    sim = phi @ psi.T
-    _, _, solution = bicluster(sim, k=4, seed=0)
+    _, _, solution = bicluster(exact_factor(phi @ psi.T), k=4, seed=0)
     broken_left = solution.left_vectors.copy()
     broken_left[0, 0] += 0.1
     broken = replace(solution, left_vectors=broken_left)
@@ -167,7 +170,7 @@ def test_rank_one_similarity_exact():
 
 
 def test_eigen_form_scalar_case():
-    sim = np.array([[3.7]])
+    sim = exact_factor([[3.7]])
     _, _, solution = bicluster(sim, k=1, seed=0)
     assert eigen_form_check(sim, solution) < 1e-12
 
@@ -238,19 +241,21 @@ def test_factored_matches_dense(n, m, d, tied, k, case):
     phi, psi = rank_deficient(*positive_factors(n, m, d, seed=n + d), case)
     if tied:
         psi = phi
-    forms = input_forms(phi, psi)
-    rows_d, cols_d, dense = bicluster(forms["dense"], k=k, seed=0)
-    rows_f, cols_f, fact = bicluster(forms["factored"], k=k, seed=0)
-    np.testing.assert_allclose(fact.singular_values, dense.singular_values,
-                               rtol=0, atol=1e-12)
-    for a, b in ((dense.left_vectors, fact.left_vectors),
-                 (dense.right_vectors, fact.right_vectors)):
-        np.testing.assert_allclose(principal_cosines(a, b), 1.0,
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(b.T @ b, np.eye(k), rtol=0, atol=1e-13)
-    np.testing.assert_array_equal(rows_f, rows_d)
-    np.testing.assert_array_equal(cols_f, cols_d)
-    assert eigen_form_check(forms["factored"], fact) < 1e-12
+    rows_d, cols_d, dense = dense_bicluster(phi @ psi.T, k=k, seed=0)
+    for form, similarity in input_forms(phi, psi).items():
+        rows_f, cols_f, fact = bicluster(similarity, k=k, seed=0)
+        np.testing.assert_allclose(fact.singular_values,
+                                   dense.singular_values, rtol=0, atol=1e-12,
+                                   err_msg=form)
+        for a, b in ((dense.left_vectors, fact.left_vectors),
+                     (dense.right_vectors, fact.right_vectors)):
+            np.testing.assert_allclose(principal_cosines(a, b), 1.0,
+                                       rtol=0, atol=1e-12, err_msg=form)
+            np.testing.assert_allclose(b.T @ b, np.eye(k), rtol=0, atol=1e-13,
+                                       err_msg=form)
+        np.testing.assert_array_equal(rows_f, rows_d, err_msg=form)
+        np.testing.assert_array_equal(cols_f, cols_d, err_msg=form)
+        assert eigen_form_check(similarity, fact) < 1e-12, form
 
 
 def test_factored_svd_forms_no_q():
@@ -267,6 +272,23 @@ def test_factored_svd_forms_no_q():
     finally:
         tracemalloc.stop()
     assert peak < 2.6 * n * d * 8
+
+
+def test_oracle_pass_forms_no_n_by_n():
+    """The whole oracle pass, degrees, factored SVD, both residuals, both
+    kmeans and the NMIs, past a warm-up call peaks at 4.27 n d_f float64s
+    traced; one n x n float64 array alone is 23 n d_f at these sizes."""
+    n, d = 3000, 128
+    similarity = SimilarityFactor(*positive_factors(n, n, d, seed=7))
+    labels = np.arange(n) % 3
+    oracle_report(similarity, 3, 0, labels)
+    tracemalloc.start()
+    try:
+        oracle_report(similarity, 3, 0, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * n * d * 8
 
 
 def test_factored_rank_above_d_f_rejected():

@@ -12,7 +12,8 @@ No module of src/hencler reads the environment: a command's inputs are its
 config and its command-line options, which its artifacts can name. Only the
 modules in `CTYPES_IMPORTERS` import ctypes, so process-wide settings such as
 the allocator's have one home. Only `WRITER` puts files on disk, so every
-artifact is replaced whole or left as it was.
+artifact is replaced whole or left as it was. Only `DENSE_EXPORTER` forms
+the n x n similarity; the oracle works on its factors.
 """
 
 import ast
@@ -280,3 +281,31 @@ def test_only_the_writer_writes_files():
     assert {what for module, owner, _, what in writes
             if (module, owner) == WRITER} == {"os.replace",
                                               "open for writing"}
+
+
+# The package's one n x n product, and the one function that may call it:
+# everything else works on S's factors, which describe it exactly.
+DENSE_SIMILARITY = "similarity_matrix"
+DENSE_EXPORTER = ("cli", "cmd_export_similarity")
+
+
+def name_uses(tree, name):
+    """(top-level name, line) of every use of `name` as a bare name or an
+    attribute; imports, `__all__` strings and the definition are no use."""
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name):
+                yield owner, node.lineno
+
+
+def test_only_export_forms_the_dense_similarity():
+    uses = [(path.stem, owner, line)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for owner, line in name_uses(parse(path), DENSE_SIMILARITY)]
+    found = [f"{module}.py:{line} in {owner}" for module, owner, line in uses
+             if (module, owner) != DENSE_EXPORTER]
+    assert not found, (f"forms the n x n similarity outside "
+                       f"{'.'.join(DENSE_EXPORTER)}: " + ", ".join(found))
+    assert {(module, owner) for module, owner, _ in uses} == {DENSE_EXPORTER}
